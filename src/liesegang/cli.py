@@ -21,9 +21,6 @@ from .errors import InvalidParameter, LiesegangError
 from .kernel import Kernel, build_kernel_table, kernel_from_samples, synthetic_kernel
 from .profile import ModelParams, check_solvability, phi_eval, psi_eval, solve_kappa
 
-_NUMERIC_ERRORS = LiesegangError  # everything except InvalidParameter maps to 3
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")

@@ -333,7 +333,7 @@ class DegenerateConstruction:
 def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateConstruction:
     """Head construction on [0, r) and assembly of the full kernel K_hat.
 
-    选 smallest tail power n with
+    Choose the smallest tail power n with
         r*^2 = (int K* - int_r^1 K_eps - G_eps(r) r^3/(n+3))
              / (int G* - int_r^1 G_eps - G_eps(r) r/(n+1))  in (0, r^2),
     then mixes two quartic bumps b1 on [0, r*/2] and b2 on [r*, r] with the

@@ -9,10 +9,6 @@ class InvalidParameter(LiesegangError):
     """An argument violates a documented precondition."""
 
 
-class NonConvergence(LiesegangError):
-    """An iterative evaluation ran out of its term or iteration budget."""
-
-
 class NoRoot(LiesegangError):
     """Root bracketing failed; the solvability condition is violated."""
 

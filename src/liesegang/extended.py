@@ -31,6 +31,18 @@ _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
 
 
+def _end_panel(theta_lo: float):
+    """6-point Gauss rule on the degenerate panel [theta_lo, 1], theta = 1 - t^2.
+
+    The sqrt-type kernel tail is polynomial in t.  Returns the theta nodes,
+    dtheta/dt at the nodes and the half-width of the t-interval, so that
+    int_theta_lo^1 f dtheta ~ half * sum(_GL6_W * f(theta) * jac).
+    """
+    half = 0.5 * np.sqrt(max(1.0 - theta_lo, 0.0))
+    t = half + half * _GL6_X
+    return 1.0 - t * t, 2.0 * t, half
+
+
 @dataclass(frozen=True)
 class Mollifier:
     """Smooth monotone ramp: 0 below -epsilon, 1 above +epsilon, 1/2 at 0."""
@@ -125,14 +137,10 @@ def _apply_kernel(kern: Kernel, grid: np.ndarray, rho: np.ndarray, xk: float) ->
         kv = kern.eval(nodes.ravel()).reshape(nodes.shape)
         rv = np.interp(nodes.ravel() * xk, y, rho[live]).reshape(nodes.shape)
         total += float(np.sum(half[:, None] * _GL4_W[None, :] * kv * rv))
-    # final panel [theta_last, 1] via theta = 1 - t^2
-    t_max = np.sqrt(max(1.0 - theta[-2], 0.0))
-    half = 0.5 * t_max
-    nodes_t = half + half * _GL6_X
-    th = 1.0 - nodes_t * nodes_t
+    th, jac, half = _end_panel(theta[-2])
     kv = kern.eval(th)
     rv = np.interp(th * xk, y, rho[live])
-    total += float(np.sum(_GL6_W * kv * rv * 2.0 * nodes_t) * half)
+    total += float(np.sum(_GL6_W * kv * rv * jac) * half)
     return total
 
 
@@ -267,13 +275,9 @@ def regular_extension_solve(
         x = edges[j]
         live = node_y < edges[j - 1]
         total = float(np.dot(node_w[live], kern.eval(node_y[live] / x))) / x
-        # newest panel [edges[j-1], x] adjoins theta = 1: map theta = 1 - t^2
-        lo_t = edges[j - 1] / x
-        t_hi = np.sqrt(max(1.0 - lo_t, 0.0))
-        half = 0.5 * t_hi
-        nodes_t = half + half * _GL6_X
-        kv = kern.eval(1.0 - nodes_t * nodes_t)
-        total += rho[j - 1] * half * float(np.dot(_GL6_W, kv * 2.0 * nodes_t))
+        # newest panel [edges[j-1], x] adjoins theta = 1
+        th, jac, half = _end_panel(edges[j - 1] / x)
+        total += rho[j - 1] * half * float(np.dot(_GL6_W, kern.eval(th) * jac))
         local[j - 1] = abs(float(gamma - x * x * total))
     out = tuple(int(i) for i in np.nonzero((rho < -tol_rho) | (rho > 1.0 + tol_rho))[0])
     return RegularExtension(

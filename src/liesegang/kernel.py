@@ -399,6 +399,27 @@ def _u_of_theta(theta):
     return np.arcsin(np.sqrt(np.clip(theta, 0.0, 1.0)))
 
 
+def _spline_cum(eval_fn: Callable, n_fine: int):
+    """Exactly additive int_a^b K from a spline of K dtheta/du, theta = sin^2 u.
+
+    Returns the antiderivative A(u) on n_fine uniform u-panels and
+    cum(a, b) = A(u(b)) - A(u(a)).
+    """
+    u_fine = np.linspace(0.0, np.pi / 2.0, n_fine + 1)
+    w_fine = eval_fn(np.sin(u_fine) ** 2) * np.sin(2.0 * u_fine)
+    anti = CubicSpline(u_fine, w_fine).antiderivative()
+
+    def cum_fn(a, b):
+        ua = _u_of_theta(np.asarray(a, dtype=float))
+        ub = _u_of_theta(np.asarray(b, dtype=float))
+        out = anti(ub) - anti(ua)
+        if np.ndim(out) == 0:
+            return float(out)
+        return out
+
+    return anti, cum_fn
+
+
 def build_kernel_table(
     profile: Profile, n_points: int = 2048, quad_tol: float = 1e-9
 ) -> tuple[KernelTable, Kernel]:
@@ -443,18 +464,8 @@ def build_kernel_table(
             return float(out)
         return out
 
-    u_fine = np.linspace(0.0, np.pi / 2.0, 4 * n_points + 1)
-    w_fine = eval_fn(np.sin(u_fine) ** 2) * np.sin(2.0 * u_fine)
-    anti = CubicSpline(u_fine, w_fine).antiderivative()
+    anti, cum_fn = _spline_cum(eval_fn, 4 * n_points)
     a0 = float(anti(0.0))
-
-    def cum_fn(a, b):
-        ua = _u_of_theta(np.asarray(a, dtype=float))
-        ub = _u_of_theta(np.asarray(b, dtype=float))
-        out = anti(ub) - anti(ua)
-        if np.ndim(out) == 0:
-            return float(out)
-        return out
 
     gamma_c = gamma_const(profile, quad_tol)
     table = KernelTable(
@@ -519,19 +530,7 @@ def kernel_from_samples(
             return float(out)
         return out
 
-    n_fine = 8192
-    u_fine = np.linspace(0.0, np.pi / 2.0, n_fine + 1)
-    w_fine = eval_fn(np.sin(u_fine) ** 2) * np.sin(2.0 * u_fine)
-    anti = CubicSpline(u_fine, w_fine).antiderivative()
-
-    def cum_fn(a, b):
-        ua = _u_of_theta(np.asarray(a, dtype=float))
-        ub = _u_of_theta(np.asarray(b, dtype=float))
-        out = anti(ub) - anti(ua)
-        if np.ndim(out) == 0:
-            return float(out)
-        return out
-
+    _, cum_fn = _spline_cum(eval_fn, 8192)
     return Kernel(
         eval=eval_fn,
         cum=cum_fn,

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from liesegang import kernel as kn
 from liesegang.errors import InvalidParameter, SingularAtZero
-from liesegang.profile import phi_eval, psi_at_source
+from liesegang.profile import ModelParams, phi_eval, psi_at_source, solve_kappa
 
 
 def raw_gauss_jacobi_g(profile, theta, tol=1e-10):
@@ -177,14 +177,26 @@ def test_gamma_const_graded_vs_cutoff_extrapolation(profile02):
     assert gam == pytest.approx(extrap, abs=1e-6)
 
 
-def test_gamma_const_positive_and_matches_source_identity(profile02, profile015):
+@pytest.mark.parametrize(
+    "alpha, beta, u_star",
+    [
+        (1.0, 1.0, 0.2),
+        (1.0, 1.0, 0.15),
+        (0.8, 1.0, 0.1),
+        (0.8, 1.0, 0.2),
+        (1.3, 1.0, 0.1),
+        (1.3, 1.0, 0.2),
+        (1.0, 0.7, 0.12),
+        (1.0, 1.5, 0.25),
+    ],
+)
+def test_gamma_const_positive_and_matches_source_identity(alpha, beta, u_star):
     # the precipitation-free self-similar solution gives the exact identity
-    # Gamma = Psi(alpha) - u*
-    for prof in (profile02, profile015):
-        gam = kn.gamma_const(prof, 1e-9)
-        assert gam > 0
-        ident = psi_at_source(prof.params) - prof.params.u_star
-        assert gam == pytest.approx(ident, abs=1e-8)
+    # Gamma = Psi(alpha) - u*; the points put kappa on both sides of 2
+    prof = solve_kappa(ModelParams(alpha, beta, u_star))
+    gam = kn.gamma_const(prof, 1e-9)
+    assert gam > 0
+    assert gam == pytest.approx(psi_at_source(prof.params) - u_star, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
