@@ -64,8 +64,9 @@ def load_kernel_file(path: str) -> Kernel:
     """Tabulated kernel: '#' keys sigma, k_coeff, gamma; rows theta, K."""
     meta = {}
     thetas, kvals = [], []
+    n_rows = 0
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -74,11 +75,16 @@ def load_kernel_file(path: str) -> Kernel:
                     key, _, val = line[1:].partition("=")
                     meta[key.strip()] = val.strip()
                 continue
+            n_rows += 1
             parts = line.split(",")
             try:
                 th, kv = float(parts[0]), float(parts[1])
-            except ValueError:
-                continue  # column header row
+            except (ValueError, IndexError):
+                if n_rows == 1:
+                    continue  # column header row
+                raise InvalidParameter(
+                    f"{path}:{lineno}: malformed data row {line!r}"
+                ) from None
             thetas.append(th)
             kvals.append(kv)
     try:
@@ -87,6 +93,8 @@ def load_kernel_file(path: str) -> Kernel:
         gamma = float(meta["gamma"])
     except KeyError as exc:
         raise InvalidParameter(f"kernel file lacks required header key {exc}")
+    except ValueError as exc:
+        raise InvalidParameter(f"kernel file header: {exc}") from None
     return kernel_from_samples(thetas, kvals, sigma, k_coeff, gamma, label=f"file:{path}")
 
 
@@ -200,7 +208,12 @@ def cmd_degenerate(args) -> None:
 def cmd_extended(args) -> None:
     kern = resolve_kernel(args)
     if args.mode == "mollified":
-        eps_seq = [float(e) for e in args.eps.split(",")]
+        try:
+            eps_seq = [float(e) for e in args.eps.split(",")]
+        except ValueError:
+            raise InvalidParameter(
+                f"--eps must be comma-separated numbers, got {args.eps!r}"
+            ) from None
         sol = ext.extended_solve(kern, args.b, args.h, eps_seq)
         meta = {
             "command": "extended", "mode": "mollified", "kernel": kern.label,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.interpolate import CubicHermiteSpline
 
 from . import rings
@@ -38,6 +38,7 @@ from .errors import (
     VerificationFailed,
 )
 from .kernel import Kernel, synthetic_kernel
+from .specfun import pointwise
 
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
@@ -74,19 +75,17 @@ def template_zeros(template: Kernel) -> tuple[float, float]:
 def _omega_star(template: Kernel, x1: float):
     gamma = template.gamma_const
 
+    @pointwise
     def value(x):
-        xs = np.asarray(x, dtype=float)
-        ratio = np.minimum(np.where(xs > 0, x1 / np.maximum(xs, 1e-300), 1.0), 1.0)
-        out = gamma - xs * xs * template.cum(0.0, ratio)
-        return float(out) if xs.ndim == 0 else out
+        ratio = np.minimum(np.where(x > 0, x1 / np.maximum(x, 1e-300), 1.0), 1.0)
+        return gamma - x * x * template.cum(0.0, ratio)
 
+    @pointwise
     def slope(x):
-        xs = np.asarray(x, dtype=float)
-        ratio = np.minimum(np.where(xs > 0, x1 / np.maximum(xs, 1e-300), 1.0), 1.0)
-        out = -2.0 * xs * template.cum(0.0, ratio) + np.where(
-            xs > x1, x1 * template.eval(ratio), 0.0
+        ratio = np.minimum(np.where(x > 0, x1 / np.maximum(x, 1e-300), 1.0), 1.0)
+        return -2.0 * x * template.cum(0.0, ratio) + np.where(
+            x > x1, x1 * template.eval(ratio), 0.0
         )
-        return float(out) if xs.ndim == 0 else out
 
     return value, slope
 
@@ -103,44 +102,42 @@ class GapBridge:
     middle: CubicHermiteSpline
     middle_slope: Callable
 
+    @pointwise
     def value(self, x):
         t = self.template
         x1, x2, eps = self.x1, self.x2, self.epsilon
-        xs = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(xs).astype(float)
-        out = np.empty_like(flat)
-        left = flat <= x2 - eps
-        mid = (flat > x2 - eps) & (flat < x2 + eps)
-        right = flat >= x2 + eps
+        out = np.empty_like(x)
+        left = x <= x2 - eps
+        mid = (x > x2 - eps) & (x < x2 + eps)
+        right = x >= x2 + eps
         if np.any(left):
             v, _ = _omega_star(t, x1)
-            out[left] = v(flat[left])
+            out[left] = v(x[left])
         if np.any(mid):
-            out[mid] = self.middle(flat[mid])
+            out[mid] = self.middle(x[mid])
         if np.any(right):
-            xr = flat[right]
+            xr = x[right]
             out[right] = 0.5 * xr * xr * t.cum((x2 + eps) / xr, 1.0)
-        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+        return out
 
+    @pointwise
     def slope(self, x):
         t = self.template
         x1, x2, eps = self.x1, self.x2, self.epsilon
-        xs = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(xs).astype(float)
-        out = np.empty_like(flat)
-        left = flat <= x2 - eps
-        mid = (flat > x2 - eps) & (flat < x2 + eps)
-        right = flat >= x2 + eps
+        out = np.empty_like(x)
+        left = x <= x2 - eps
+        mid = (x > x2 - eps) & (x < x2 + eps)
+        right = x >= x2 + eps
         if np.any(left):
             _, s = _omega_star(t, x1)
-            out[left] = s(flat[left])
+            out[left] = s(x[left])
         if np.any(mid):
-            out[mid] = self.middle_slope(flat[mid])
+            out[mid] = self.middle_slope(x[mid])
         if np.any(right):
-            xr = flat[right]
+            xr = x[right]
             ratio = (x2 + eps) / xr
             out[right] = xr * t.cum(ratio, 1.0) + 0.5 * (x2 + eps) * t.eval(ratio)
-        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+        return out
 
 
 def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> GapBridge:
@@ -204,16 +201,10 @@ def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> 
 
     z_hi = x2 + 2.0 * epsilon
     if right(z_hi) > gamma / 2.0:
-        lo, hi = x2 + epsilon, z_hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if right(mid) < gamma / 2.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14 * x2:
-                break
-        z_eps = 0.5 * (lo + hi)
+        # right(x2 + eps) = 0; xtol tiny: stop on the relative test (4 eps) alone
+        z_eps = optimize.brentq(
+            lambda x: right(x) - gamma / 2.0, x2 + epsilon, z_hi, xtol=np.finfo(float).tiny
+        )
     else:
         z_eps = z_hi
 
@@ -247,15 +238,13 @@ def kernel_from_bridge(template: Kernel, bridge: GapBridge, x1: float) -> Partia
     x2, eps = bridge.x2, bridge.epsilon
     r = x1 / (x2 + 2.0 * eps)
 
-    def k_eps(theta):
-        th = np.asarray(theta, dtype=float)
+    @pointwise
+    def k_eps(th):
         x = x1 / th
-        out = bridge.slope(x) / x1 - 2.0 * th * (bridge.value(x) - gamma) / x1**2
-        return float(out) if th.ndim == 0 else out
+        return bridge.slope(x) / x1 - 2.0 * th * (bridge.value(x) - gamma) / x1**2
 
     def g_eps(theta):
-        th = np.asarray(theta, dtype=float)
-        return k_eps(th) / (th * th)
+        return k_eps(theta) / (theta * theta)
 
     vals = k_eps(np.linspace(r, 1.0, 1001)[:-1])
     if np.any(vals <= 0):
@@ -277,9 +266,8 @@ def kernel_from_bridge(template: Kernel, bridge: GapBridge, x1: float) -> Partia
     )
 
 
-def choose_epsilon(template: Kernel, x1: float, x2: float,
-                   margin: float = 0.1) -> float:
-    """Scan eps = x2 * 2^-k until the head-mass inequality holds with margin.
+def choose_epsilon(template: Kernel, x1: float, x2: float) -> float:
+    """Scan eps = x2 * 2^-k until the head-mass inequality holds with a 10% margin.
 
     The inequality (int K* - int_r^1 K_eps) / (int G* - int_r^1 G_eps) < r^2
     makes room for the head construction; it holds for all small eps because
@@ -300,7 +288,7 @@ def choose_epsilon(template: Kernel, x1: float, x2: float,
         r = partial.r
         num = total_k - partial.int_k
         den = gamma - partial.int_g
-        if num > 0 and den > 0 and num / den < (1.0 - margin) * r * r:
+        if num > 0 and den > 0 and num / den < 0.9 * r * r:
             return float(eps)
     raise EpsilonNotFound("no admissible epsilon within 40 halvings")
 
@@ -361,13 +349,11 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
         raise TailPowerNotFound("no tail power n <= 200 satisfies the ratio bound")
     r_star = float(np.sqrt(r_star2))
 
-    def b1(theta):
-        th = np.asarray(theta, dtype=float)
+    def b1(th):
         inside = (th >= 0.0) & (th <= r_star / 2.0)
         return np.where(inside, th**4 * (r_star / 2.0 - th) ** 4, 0.0)
 
-    def b2(theta):
-        th = np.asarray(theta, dtype=float)
+    def b2(th):
         inside = (th >= r_star) & (th <= r)
         return np.where(inside, (th - r_star) ** 4 * (r - th) ** 4, 0.0)
 
@@ -386,8 +372,7 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
         raise LambdaOutOfRange(f"lambda* = {lambda_star} outside (0, 1)")
     b_norm = lambda_star * i2_b1 + mu_star * i2_b2
 
-    def head(theta):
-        th = np.asarray(theta, dtype=float)
+    def head(th):
         spline = (
             k_star
             / b_norm
@@ -426,31 +411,26 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
         x = x1 / t
         return -(bridge.value(x) - gamma) * t * t / x1**2
 
+    @pointwise
     def eval_fn(theta):
-        th = np.asarray(theta, dtype=float)
-        flat = np.atleast_1d(th).astype(float)
-        out = np.empty_like(flat)
-        low = flat < r
+        out = np.empty_like(theta)
+        low = theta < r
         if np.any(low):
-            out[low] = head(flat[low])
+            out[low] = head(theta[low])
         if np.any(~low):
-            out[~low] = partial.eval(np.minimum(flat[~low], 1.0))
-        if th.ndim == 0:
-            return float(out[0])
-        return out.reshape(th.shape)
+            out[~low] = partial.eval(np.minimum(theta[~low], 1.0))
+        return out
 
+    @pointwise
     def prefix(theta):
-        th = np.asarray(theta, dtype=float)
-        flat = np.clip(np.atleast_1d(th).astype(float), 0.0, 1.0)
+        flat = np.clip(theta, 0.0, 1.0)
         out = np.empty_like(flat)
         low = flat <= r
         if np.any(low):
             out[low] = head_prefix(flat[low])
         if np.any(~low):
             out[~low] = head_mass + _keps_anti(flat[~low]) - _keps_anti(r)
-        if th.ndim == 0:
-            return float(out[0])
-        return out.reshape(th.shape)
+        return out
 
     def cum_fn(a, b):
         return prefix(b) - prefix(a)

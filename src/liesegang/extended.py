@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InvalidParameter, PicardStall, SingularPanel
 from .kernel import Kernel
 from .rings import Classification, RingPattern
+from .specfun import pointwise
 
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
@@ -50,18 +51,16 @@ class Mollifier:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidParameter("mollifier epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise InvalidParameter("mollifier epsilon must be positive and finite")
 
+    @pointwise
     def __call__(self, z):
-        t = np.clip((np.asarray(z, dtype=float) + self.epsilon) / (2.0 * self.epsilon), 0.0, 1.0)
+        t = np.clip((z + self.epsilon) / (2.0 * self.epsilon), 0.0, 1.0)
         with np.errstate(divide="ignore", over="ignore"):
             f = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
             g = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-        out = f / (f + g)
-        if np.ndim(z) == 0:
-            return float(out)
-        return out
+        return f / (f + g)
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,8 @@ def mollified_solve(kern: Kernel, moll: Mollifier, b: float, h: float):
     resolved by Picard iteration, which contracts because that weight is
     small.
     """
-    if b <= 0 or h <= 0:
-        raise InvalidParameter("b and h must be positive")
+    if not (0.0 < b < np.inf and h > 0.0):
+        raise InvalidParameter("b and h must be positive and b finite")
     if h > moll.epsilon / 4.0:
         raise InvalidParameter("need h <= epsilon/4 to resolve the relay ramp")
     n = int(round(b / h))
@@ -189,7 +188,7 @@ class RegularExtension:
     rho: np.ndarray  # piecewise-constant rho per panel
     residual: float  # worst defect of the first-kind equation, independent quadrature
     residual_local: np.ndarray
-    out_of_range: tuple  # panel indices where rho leaves [0, 1] by more than tol
+    out_of_range: tuple  # panel indices where rho leaves [0, 1] by more than 1e-6
 
 
 def _history_mass(kern: Kernel, pattern: RingPattern, x: float, x_star: float) -> float:
@@ -208,7 +207,7 @@ def _history_mass(kern: Kernel, pattern: RingPattern, x: float, x_star: float) -
 
 
 def regular_extension_solve(
-    kern: Kernel, pattern: RingPattern, b: float, h: float, tol_rho: float = 1e-6
+    kern: Kernel, pattern: RingPattern, b: float, h: float
 ) -> RegularExtension:
     """Impose omega = 0 on (x*, b] and solve the first-kind equation for rho.
 
@@ -222,8 +221,8 @@ def regular_extension_solve(
     ):
         raise InvalidParameter("pattern must have a known breakdown point")
     x_star = pattern.x_star
-    if b <= x_star + h:
-        raise InvalidParameter("b must exceed x* by at least one panel")
+    if not (h > 0.0 and x_star + h < b < np.inf):
+        raise InvalidParameter("need h > 0 and finite b exceeding x* by at least one panel")
     gamma = kern.gamma_const
     m = int(np.floor((b - x_star) / h))
     edges = x_star + h * np.arange(m + 1)
@@ -279,7 +278,7 @@ def regular_extension_solve(
         th, jac, half = _end_panel(edges[j - 1] / x)
         total += rho[j - 1] * half * float(np.dot(_GL6_W, kern.eval(th) * jac))
         local[j - 1] = abs(float(gamma - x * x * total))
-    out = tuple(int(i) for i in np.nonzero((rho < -tol_rho) | (rho > 1.0 + tol_rho))[0])
+    out = tuple(int(i) for i in np.nonzero((rho < -1e-6) | (rho > 1.0 + 1e-6))[0])
     return RegularExtension(
         grid=edges[1:], rho=rho, residual=float(np.max(local)),
         residual_local=local, out_of_range=out,

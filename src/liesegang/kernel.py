@@ -42,7 +42,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import InvalidParameter, QuadratureFailure, SingularAtZero
 from .profile import Profile
-from .specfun import SQRT_PI, kummer_m
+from .specfun import SQRT_PI, kummer_m, pointwise
 
 SIGMA_MAX = float(np.log2(3.0) - 1.0)  # admissible degeneracy exponents (0, log2 3 - 1)
 _V_CUT = 46.0  # e^-46 ~ 1e-20: exponential tail truncation
@@ -99,8 +99,8 @@ def synthetic_kernel(sigma: float, scale: float) -> Kernel:
     """
     if not 0.0 < sigma < SIGMA_MAX:
         raise InvalidParameter(f"sigma must lie in (0, {SIGMA_MAX:.6f}), got {sigma}")
-    if scale <= 0:
-        raise InvalidParameter("scale must be positive")
+    if not 0.0 < scale < np.inf:
+        raise InvalidParameter(f"scale must be positive and finite, got {scale}")
 
     def antideriv(t):
         # int theta^2 (1-theta)^sigma dtheta with theta^2 = 1 - 2(1-t) + (1-t)^2
@@ -409,13 +409,12 @@ def _spline_cum(eval_fn: Callable, n_fine: int):
     w_fine = eval_fn(np.sin(u_fine) ** 2) * np.sin(2.0 * u_fine)
     anti = CubicSpline(u_fine, w_fine).antiderivative()
 
+    @pointwise
+    def prefix(theta):
+        return anti(_u_of_theta(theta))
+
     def cum_fn(a, b):
-        ua = _u_of_theta(np.asarray(a, dtype=float))
-        ub = _u_of_theta(np.asarray(b, dtype=float))
-        out = anti(ub) - anti(ua)
-        if np.ndim(out) == 0:
-            return float(out)
-        return out
+        return prefix(b) - prefix(a)
 
     return anti, cum_fn
 
@@ -452,17 +451,14 @@ def build_kernel_table(
     v_vals[-1] = kc
     v_spline = CubicSpline(u, v_vals)
 
+    @pointwise
     def eval_fn(theta):
-        t = np.asarray(theta, dtype=float)
-        tt = np.clip(t, 0.0, 1.0)
+        tt = np.clip(theta, 0.0, 1.0)
         uu = _u_of_theta(tt)
         root = np.sqrt(np.maximum(1.0 - tt, 0.0))
         base = v_spline(uu) * root
         w = np.clip((tt - (1.0 - _BLEND)) / _BLEND, 0.0, 1.0)
-        out = (1.0 - w) * base + w * kc * root
-        if t.ndim == 0:
-            return float(out)
-        return out
+        return (1.0 - w) * base + w * kc * root
 
     anti, cum_fn = _spline_cum(eval_fn, 4 * n_points)
     a0 = float(anti(0.0))
@@ -517,18 +513,14 @@ def kernel_from_samples(
     t_last = t[-1]
     k_last = k[-1]
 
+    @pointwise
     def eval_fn(theta):
-        x = np.asarray(theta, dtype=float)
-        xx = np.clip(x, 0.0, 1.0)
+        xx = np.clip(theta, 0.0, 1.0)
         inside = np.interp(xx, t, v) * (1.0 - xx) ** sigma
         if t_last < 1.0:
             tail = k_last * np.sqrt(np.maximum(1.0 - xx, 0.0)) / np.sqrt(1.0 - t_last)
-            out = np.where(xx <= t_last, inside, tail)
-        else:
-            out = inside
-        if x.ndim == 0:
-            return float(out)
-        return out
+            return np.where(xx <= t_last, inside, tail)
+        return inside
 
     _, cum_fn = _spline_cum(eval_fn, 8192)
     return Kernel(

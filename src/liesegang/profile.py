@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .errors import InvalidParameter, NoRoot
-from .specfun import SQRT_PI, erfc, kummer_m
+from .specfun import SQRT_PI, erfc, kummer_m, pointwise
 
 KAPPA_MAX = 50.0
 
@@ -100,15 +101,13 @@ def check_solvability(params: ModelParams) -> SolvabilityReport:
     return SolvabilityReport(bool(solvable), at_zero, at_one)
 
 
-def solve_kappa(params: ModelParams, tol: float = 1e-12) -> Profile:
+def solve_kappa(params: ModelParams) -> Profile:
     """Solve the eigenvalue equation for kappa > 1; gamma = kappa*(kappa-1).
 
-    Coarse geometric scan of (1, KAPPA_MAX] for a sign change, bisection to
-    an interval of width 1e-12, then a single secant polish.  Raises NoRoot
-    when no sign change exists (solvability violated).
+    Coarse geometric scan of (1, KAPPA_MAX] for a sign change, then Brent's
+    method to 4 eps relative.  Raises NoRoot when no sign change exists
+    (solvability violated) or the root leaves a residual above 1e-12.
     """
-    if not 0.0 < tol <= 1e-6:
-        raise InvalidParameter(f"tol must lie in (0, 1e-6], got {tol}")
 
     def f(k: float) -> float:
         return u_star_curve(params, k) - params.u_star
@@ -121,26 +120,10 @@ def solve_kappa(params: ModelParams, tol: float = 1e-12) -> Profile:
             f"no kappa root in (1, {KAPPA_MAX}]: u_star={params.u_star} "
             f"vs threshold {u_star_curve(params, 1.0):.6g}"
         )
-    lo, hi = float(grid[idx[0]]), float(grid[idx[0] + 1])
-    flo, fhi = float(vals[idx[0]]), float(vals[idx[0] + 1])
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            flo = fhi = fm
-            break
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    kappa = 0.5 * (lo + hi)
-    if fhi != flo:
-        polished = hi - fhi * (hi - lo) / (fhi - flo)
-        if lo <= polished <= hi:
-            kappa = polished
-    if abs(f(kappa)) > tol:
-        raise NoRoot(f"root refinement left residual above tol={tol}")
+    # xtol tiny: stop on the relative test (4 eps) alone
+    kappa = optimize.brentq(f, grid[idx[0]], grid[idx[0] + 1], xtol=np.finfo(float).tiny)
+    if abs(f(kappa)) > 1e-12:
+        raise NoRoot("root refinement left residual above 1e-12")
     a = params.alpha
     c1 = params.u_star / (
         a**kappa * kummer_m(kappa / 2.0, kappa + 0.5, -a * a / 4.0)
@@ -148,6 +131,7 @@ def solve_kappa(params: ModelParams, tol: float = 1e-12) -> Profile:
     return Profile(params=params, kappa=float(kappa), gamma=float(kappa * (kappa - 1.0)), c1=float(c1))
 
 
+@pointwise
 def phi_eval(profile: Profile, eta):
     """Evaluate Phi at eta >= 0 (scalar or array).
 
@@ -155,21 +139,18 @@ def phi_eval(profile: Profile, eta):
     the value is u_star.
     """
     p = profile.params
-    eta_arr = np.asarray(eta, dtype=float)
-    scalar = eta_arr.ndim == 0
-    e = np.atleast_1d(eta_arr)
-    if np.any(e < 0):
+    if np.any(eta < 0):
         raise InvalidParameter("eta must be non-negative")
-    out = np.empty_like(e)
-    below = e < p.alpha
+    out = np.empty_like(eta)
+    below = eta < p.alpha
     if np.any(below):
-        eb = e[below]
+        eb = eta[below]
         out[below] = profile.c1 * eb**profile.kappa * kummer_m(
             profile.kappa / 2.0, profile.kappa + 0.5, -eb * eb / 4.0
         )
     if np.any(~below):
-        out[~below] = p.u_star * erfc(e[~below] / 2.0) / erfc(p.alpha / 2.0)
-    return float(out[0]) if scalar else out.reshape(eta_arr.shape)
+        out[~below] = p.u_star * erfc(eta[~below] / 2.0) / erfc(p.alpha / 2.0)
+    return out
 
 
 def psi_at_source(params: ModelParams) -> float:
@@ -178,18 +159,14 @@ def psi_at_source(params: ModelParams) -> float:
     return float(params.beta * a * SQRT_PI / 2.0 * np.exp(a * a / 4.0) * erfc(a / 2.0))
 
 
+@pointwise
 def psi_eval(params: ModelParams, eta):
     """Precipitation-free profile: flat below alpha, erfc decay above."""
-    eta_arr = np.asarray(eta, dtype=float)
-    scalar = eta_arr.ndim == 0
-    e = np.atleast_1d(eta_arr)
-    if np.any(e < 0):
+    if np.any(eta < 0):
         raise InvalidParameter("eta must be non-negative")
     top = psi_at_source(params)
-    out = np.where(
-        e <= params.alpha,
+    return np.where(
+        eta <= params.alpha,
         top,
-        top * erfc(np.minimum(e, 60.0) / 2.0) / erfc(params.alpha / 2.0),
+        top * erfc(np.minimum(eta, 60.0) / 2.0) / erfc(params.alpha / 2.0),
     )
-    out = np.atleast_1d(out)
-    return float(out[0]) if scalar else out.reshape(eta_arr.shape)

@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import optimize
 
 from .errors import AmbiguousContinuation, InsufficientData, InvalidParameter
 from .kernel import SIGMA_MAX, Kernel
+from .specfun import pointwise
 
 
 class Classification(str, Enum):
@@ -65,6 +67,7 @@ class ContinuationVerdict:
         return not (self.positive_consistent or self.negative_consistent)
 
 
+@pointwise
 def omega_eval(kern: Kernel, zeros, x):
     """Partial-sum evaluation Gamma - sum_{x_i < x} (-1)^i rho_i(x).
 
@@ -75,13 +78,10 @@ def omega_eval(kern: Kernel, zeros, x):
     z = list(zeros)
     if z and z[0] != 0.0:
         raise InvalidParameter("zeros must start at 0")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    xs = np.atleast_1d(x_arr).astype(float)
-    out = np.full_like(xs, kern.gamma_const)
-    pos = xs > 0
+    out = np.full_like(x, kern.gamma_const)
+    pos = x > 0
     if np.any(pos):
-        xp = xs[pos]
+        xp = x[pos]
         acc = np.zeros_like(xp)
         for i, xi in enumerate(z):
             live = xp > xi
@@ -92,7 +92,7 @@ def omega_eval(kern: Kernel, zeros, x):
             contrib[live] = xp[live] ** 2 * kern.cum(ratio, 1.0)
             acc += (-1.0) ** i * contrib
         out[pos] = kern.gamma_const - acc
-    return float(out[0]) if scalar else out.reshape(x_arr.shape)
+    return out
 
 
 def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
@@ -237,8 +237,12 @@ def classify_continuation(kern: Kernel, zeros, delta_probe: float,
     return ContinuationVerdict(bool(pos_ok), bool(neg_ok), rows)
 
 
-def q_star(sigma: float, tol: float = 1e-13) -> float:
-    """Unique positive root of (1+q)^(1+sigma) - q^(1+sigma) - q - 1 in (0,1)."""
+def q_star(sigma: float) -> float:
+    """Unique positive root of (1+q)^(1+sigma) - q^(1+sigma) - q - 1 in (0,1).
+
+    A geometric scan brackets the root; Brent's method refines it to 4 eps
+    relative.
+    """
     if not 0.0 < sigma < SIGMA_MAX:
         raise InvalidParameter(f"sigma must lie in (0, {SIGMA_MAX:.6f}), got {sigma}")
 
@@ -252,17 +256,11 @@ def q_star(sigma: float, tol: float = 1e-13) -> float:
     idx = np.nonzero((vals[:-1] > 0) & (vals[1:] <= 0))[0]
     if len(idx) == 0:
         raise InvalidParameter("no bracket found; sigma outside admissible range?")
-    lo, hi = float(qs[idx[0]]), float(qs[idx[0] + 1])
-    for _ in range(400):
-        mid = np.sqrt(lo * hi) if hi / lo > 4.0 else 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= tol:
-            return float(mid)
-        if gm > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # xtol tiny: stop on the relative test (4 eps) alone; near sigma = 0.01
+    # round-off in g forces bisection steps (up to 82 of the default 100)
+    return optimize.brentq(
+        g, qs[idx[0]], qs[idx[0] + 1], xtol=np.finfo(float).tiny, maxiter=200
+    )
 
 
 def _extrapolate(zeros, q_bound: float) -> float:

@@ -7,15 +7,16 @@ from liesegang.cli import dispatch, load_kernel_file
 
 def read_rows(path):
     header, rows, meta = None, [], {}
-    for line in open(path):
-        line = line.strip()
-        if line.startswith("#"):
-            key, _, val = line[1:].partition("=")
-            meta[key.strip()] = val.strip()
-        elif header is None:
-            header = line.split(",")
-        elif line:
-            rows.append(line.split(","))
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                key, _, val = line[1:].partition("=")
+                meta[key.strip()] = val.strip()
+            elif header is None:
+                header = line.split(",")
+            elif line:
+                rows.append(line.split(","))
     return meta, header, rows
 
 
@@ -125,3 +126,58 @@ def test_degenerate_roundtrip(tmp_path, construction):
     assert pattern.classification is rings.Classification.DEGENERATE
     x_break = construction.x2 + construction.epsilon
     assert pattern.x_star == pytest.approx(x_break, rel=0.01)
+
+
+def assert_input_error(argv, capsys):
+    """Invalid input: exit code 2 and a one-line error, never a traceback."""
+    rc = dispatch(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("eps", ["a,b", "nan"])
+def test_extended_malformed_eps_exits_two(tmp_path, capsys, eps):
+    assert_input_error(
+        ["extended", "--eps", eps, "--out", str(tmp_path / "e.csv")], capsys
+    )
+
+
+@pytest.mark.parametrize("mode", ["mollified", "regular"])
+def test_extended_nan_b_exits_two(tmp_path, capsys, mode):
+    assert_input_error(
+        ["extended", "--mode", mode, "--b", "nan", "--out", str(tmp_path / "e.csv")],
+        capsys,
+    )
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan"])
+def test_rings_non_finite_scale_exits_two(tmp_path, capsys, scale):
+    assert_input_error(
+        ["rings", "--scale", scale, "--out", str(tmp_path / "r.csv")], capsys
+    )
+
+
+@pytest.mark.parametrize(
+    "bad_line, lineno",
+    [("0.95", 15), ("theta,K", 15), ("# sigma = half", None)],
+)
+def test_kernel_file_malformed_line_exits_two(tmp_path, capsys, bad_line, lineno):
+    # only the first non-'#' row may be a column header; a later row that
+    # does not parse as two numbers is reported with its line number
+    thetas = np.linspace(0.0, 0.9, 10)
+    lines = ["# sigma = 0.5", "# k_coeff = 1", "# gamma = 0.6666666666666666", "theta,K"]
+    lines += [f"{t:.17g},{t * t * np.sqrt(1.0 - t):.17g}" for t in thetas]
+    if lineno is None:
+        lines[0] = bad_line  # a header value that is not a number
+    else:
+        lines.append(bad_line)
+    path = tmp_path / "k.csv"
+    path.write_text("\n".join(lines) + "\n")
+    err = assert_input_error(
+        ["rings", "--kernel", f"file:{path}", "--out", str(tmp_path / "r.csv")], capsys
+    )
+    if lineno is not None:
+        assert f":{lineno}:" in err

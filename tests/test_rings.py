@@ -147,7 +147,7 @@ def test_q_star_closed_points():
 
 
 def test_q_star_value_and_scan_oracle():
-    q = rings.q_star(0.5, tol=1e-13)
+    q = rings.q_star(0.5)
     assert q == pytest.approx(Q_STAR_HALF, abs=1e-10)
     # sign-scan oracle at step 1e-6
     qs = np.arange(0.41, 0.43, 1e-6)
@@ -164,6 +164,16 @@ def test_q_star_properties(sigma):
     g = lambda x: (1.0 + x) ** (1.0 + sigma) - x ** (1.0 + sigma) - x - 1.0
     assert abs(g(q)) <= 1e-12
     assert g(min(1.0, q + 0.05)) < 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.05, max_value=SIGMA_MAX - 0.01))
+def test_q_star_brackets_the_root_to_1e9_relative(sigma):
+    # the root collapses like sigma^(1/sigma) (1e-10 at sigma = 0.1), so an
+    # absolute residual test stops early; g is in the cancellation-free form
+    g = lambda q: np.expm1((1.0 + sigma) * np.log1p(q)) - q ** (1.0 + sigma) - q
+    q = rings.q_star(sigma)
+    assert g(q * (1.0 - 1e-9)) > 0.0 > g(q * (1.0 + 1e-9))
 
 
 def test_q_star_rejects_bad_sigma():
