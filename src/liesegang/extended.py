@@ -30,6 +30,7 @@ from .specfun import pointwise
 
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
+_ZERO = np.float64(0.0)  # 0/0 at a NaN argument gives NaN, as the array path does
 
 
 def _end_panel(theta_lo: float):
@@ -54,13 +55,17 @@ class Mollifier:
         if not 0.0 < self.epsilon < np.inf:
             raise InvalidParameter("mollifier epsilon must be positive and finite")
 
+    def ramp(self, z: float) -> float:
+        """The ramp at one point.  np.exp, not math.exp, so that the value
+        is bitwise the one numpy's array exp gives."""
+        t = min(max((z + self.epsilon) / (2.0 * self.epsilon), 0.0), 1.0)
+        f = np.exp(-1.0 / t) if t > 0.0 else _ZERO
+        g = np.exp(-1.0 / (1.0 - t)) if t < 1.0 else _ZERO
+        return float(f / (f + g))
+
     @pointwise
     def __call__(self, z):
-        t = np.clip((z + self.epsilon) / (2.0 * self.epsilon), 0.0, 1.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            f = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-            g = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-        return f / (f + g)
+        return np.fromiter(map(self.ramp, z.tolist()), float, len(z))
 
 
 @dataclass(frozen=True)
@@ -73,112 +78,94 @@ class ExtendedSolution:
     epsilon_trace: tuple  # rows (epsilon, sup-change to previous level)
 
 
-def mollified_solve(kern: Kernel, moll: Mollifier, b: float, h: float):
-    """March the mollified equation on a uniform grid over [0, b].
+def mollified_solve(kern: Kernel, mollifiers, b: float, h: float):
+    """March the mollified equation on a uniform grid over [0, b], one row
+    of omega per mollifier.
 
     Product integration: rho-factor piecewise linear (trapezoidal weights),
     kernel mass per panel exact through cum, so the degenerate last panel
-    carries its true h^(1+sigma) weight.  The implicit last-node value is
-    resolved by Picard iteration, which contracts because that weight is
-    small.
+    carries its true h^(1+sigma) weight.  The masses do not depend on the
+    mollifier, so every level is marched in the same pass over the nodes,
+    each with its own sums.  The implicit last-node value is resolved by
+    Picard iteration, which contracts because that weight is small.
     """
+    mollifiers = list(mollifiers)
     if not (0.0 < b < np.inf and h > 0.0):
         raise InvalidParameter("b and h must be positive and b finite")
-    if h > moll.epsilon / 4.0:
+    if not mollifiers:
+        raise InvalidParameter("need at least one mollifier")
+    if any(h > m.epsilon / 4.0 for m in mollifiers):
         raise InvalidParameter("need h <= epsilon/4 to resolve the relay ramp")
     n = int(round(b / h))
     x = h * np.arange(n + 1)
     gamma = kern.gamma_const
-    omega = np.empty(n + 1)
-    phi = np.empty(n + 1)
-    omega[0] = gamma
-    phi[0] = moll(gamma)
+    omegas = np.empty((len(mollifiers), n + 1))
+    omegas[:, 0] = gamma
+    # per level: trapezoid means 0.5 (phi[i] + phi[i+1]) of phi = H_eps(omega),
+    # and phi at the newest node
+    means = np.empty((len(mollifiers), n))
+    phi_last = [m.ramp(gamma) for m in mollifiers]
     for k in range(1, n + 1):
         xk = x[k]
         theta = x[: k + 1] / xk
         masses = xk * xk * kern.cum(theta[:-1], theta[1:])
-        known = float(np.dot(0.5 * (phi[: k - 1] + phi[1:k]), masses[: k - 1])) if k > 1 else 0.0
         c_last = float(masses[k - 1])
-        phi_k = phi[k - 1]
-        om_prev = None
-        for it in range(60):
-            om = gamma - known - 0.5 * (phi[k - 1] + phi_k) * c_last
-            phi_k = float(moll(om))
-            if om_prev is not None and abs(om - om_prev) < 1e-12 and it >= 2:
-                break
-            om_prev = om
-        else:
-            raise PicardStall(f"node {k} did not contract (h too large for epsilon?)")
-        omega[k] = om
-        phi[k] = phi_k
-    return x, omega
-
-
-def _apply_kernel(kern: Kernel, grid: np.ndarray, rho: np.ndarray, xk: float) -> float:
-    """Independent quadrature of int_0^1 K(theta) rho(xk theta) dtheta.
-
-    Composite 4-point Gauss per grid panel with K evaluated pointwise and
-    rho interpolated linearly; the degenerate final panel is mapped by
-    theta = 1 - t^2, where the sqrt-type kernel tail is polynomial.
-    """
-    live = grid <= xk
-    y = grid[live]
-    if len(y) < 2:
-        return 0.0
-    theta = y / xk
-    a = theta[:-2] if len(theta) > 2 else theta[:0]
-    b_ = theta[1:-1] if len(theta) > 2 else theta[:0]
-    total = 0.0
-    if len(a):
-        half = 0.5 * (b_ - a)
-        mid = 0.5 * (b_ + a)
-        nodes = mid[:, None] + half[:, None] * _GL4_X[None, :]
-        kv = kern.eval(nodes.ravel()).reshape(nodes.shape)
-        rv = np.interp(nodes.ravel() * xk, y, rho[live]).reshape(nodes.shape)
-        total += float(np.sum(half[:, None] * _GL4_W[None, :] * kv * rv))
-    th, jac, half = _end_panel(theta[-2])
-    kv = kern.eval(th)
-    rv = np.interp(th * xk, y, rho[live])
-    total += float(np.sum(_GL6_W * kv * rv * jac) * half)
-    return total
+        for j, moll in enumerate(mollifiers):
+            known = float(np.dot(means[j, : k - 1], masses[: k - 1]))
+            phi_prev = phi_k = phi_last[j]
+            om_prev = None
+            for it in range(60):
+                om = gamma - known - 0.5 * (phi_prev + phi_k) * c_last
+                phi_k = moll.ramp(om)
+                if om_prev is not None and abs(om - om_prev) < 1e-12 and it >= 2:
+                    break
+                om_prev = om
+            else:
+                raise PicardStall(f"node {k} did not contract (h too large for epsilon?)")
+            omegas[j, k] = om
+            means[j, k - 1] = 0.5 * (phi_prev + phi_k)
+            phi_last[j] = phi_k
+    return x, omegas
 
 
 def extended_solve(kern: Kernel, b: float, h: float, eps_sequence) -> ExtendedSolution:
     """Run the mollified march along a decreasing epsilon schedule.
 
-    omega is the last iterate, rho its ramp image; the reported residual is
+    omega is the last level, rho its ramp image; the reported residual is
     the sup-norm defect of the relay equation on the grid, recomputed with
-    the independent quadrature above.
+    an independent quadrature: composite 4-point Gauss per grid panel with
+    K evaluated pointwise and rho interpolated linearly, the nodes and the
+    rho-weights laid out once in y-space; the degenerate final panel is
+    mapped by theta = 1 - t^2, where the sqrt-type kernel tail is polynomial.
     """
     eps_sequence = list(eps_sequence)
     if not eps_sequence or any(
         e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])
     ):
         raise InvalidParameter("eps_sequence must be strictly decreasing")
-    if eps_sequence[-1] < 4.0 * h:
-        raise InvalidParameter("last epsilon must stay >= 4h")
-    trace = []
-    omega_prev = None
-    for eps in eps_sequence:
-        grid, omega = mollified_solve(kern, Mollifier(eps), b, h)
-        change = float(np.max(np.abs(omega - omega_prev))) if omega_prev is not None else np.nan
-        trace.append((float(eps), change))
-        omega_prev = omega
-    moll = Mollifier(eps_sequence[-1])
-    rho = np.asarray(moll(omega_prev))
+    grid, omegas = mollified_solve(kern, [Mollifier(e) for e in eps_sequence], b, h)
+    changes = [np.nan] + [float(np.max(np.abs(o2 - o1))) for o1, o2 in zip(omegas, omegas[1:])]
+    omega = omegas[-1]
+    rho = Mollifier(eps_sequence[-1])(omega)
+    half = 0.5 * (grid[1:] - grid[:-1])
+    mid = 0.5 * (grid[1:] + grid[:-1])
+    node_y = (mid[:, None] + half[:, None] * _GL4_X[None, :]).ravel()
+    node_wr = (half[:, None] * _GL4_W[None, :]).ravel() * np.interp(node_y, grid, rho)
     local = np.zeros(len(grid))
     for k in range(1, len(grid)):
-        local[k] = abs(float(
-            omega_prev[k] - kern.gamma_const
-            + grid[k] ** 2 * _apply_kernel(kern, grid, rho, grid[k])
-        ))
+        x = grid[k]
+        total = float(np.dot(node_wr[: 4 * (k - 1)], kern.eval(node_y[: 4 * (k - 1)] / x))) / x
+        th, jac, half_t = _end_panel(grid[k - 1] / x)
+        rv = np.interp(th * x, grid[: k + 1], rho[: k + 1])
+        total += float(np.sum(_GL6_W * kern.eval(th) * rv * jac) * half_t)
+        local[k] = abs(float(omega[k] - kern.gamma_const + x * x * total))
     return ExtendedSolution(
         grid=grid,
-        omega=omega_prev,
+        omega=omega,
         rho=rho,
         residual=float(np.max(local)),
         residual_local=local,
-        epsilon_trace=tuple(trace),
+        epsilon_trace=tuple(zip(map(float, eps_sequence), changes)),
     )
 
 
@@ -272,8 +259,8 @@ def regular_extension_solve(
     local = np.zeros(m)
     for j in range(1, m + 1):
         x = edges[j]
-        live = node_y < edges[j - 1]
-        total = float(np.dot(node_w[live], kern.eval(node_y[live] / x))) / x
+        live = np.searchsorted(node_y, edges[j - 1])  # node_y is sorted
+        total = float(np.dot(node_w[:live], kern.eval(node_y[:live] / x))) / x
         # newest panel [edges[j-1], x] adjoins theta = 1
         th, jac, half = _end_panel(edges[j - 1] / x)
         total += rho[j - 1] * half * float(np.dot(_GL6_W, kern.eval(th) * jac))

@@ -95,6 +95,13 @@ def omega_eval(kern: Kernel, zeros, x):
     return out
 
 
+def _require_positive(**values) -> None:
+    """Raise InvalidParameter unless each value lies in (0, inf); NaN fails."""
+    for name, v in values.items():
+        if not 0.0 < v < np.inf:
+            raise InvalidParameter(f"{name} must be positive and finite, got {v}")
+
+
 def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
               horizon: float) -> float | None:
     """Scan past the last zero for the next sign change, then bisect.
@@ -102,8 +109,7 @@ def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
     Returns None when no sign change occurs before the horizon (the band
     extends beyond it, or widths fell below resolution).
     """
-    if scan_step <= 0 or root_tol <= 0:
-        raise InvalidParameter("scan_step and root_tol must be positive")
+    _require_positive(scan_step=scan_step, root_tol=root_tol, horizon=horizon)
     last = zeros[-1] if zeros else 0.0
     n = len(zeros) - 1  # index of the open band
     band_sign = (-1.0) ** n
@@ -191,8 +197,7 @@ def classify_continuation(kern: Kernel, zeros, delta_probe: float,
     """
     if len(zeros) < 2:
         raise InvalidParameter("need at least one positive zero to classify")
-    if delta_probe <= 0:
-        raise InvalidParameter("delta_probe must be positive")
+    _require_positive(delta_probe=delta_probe)
     last = zeros[-1]
     n = len(zeros) - 1  # band index just past the zero
     with_toggle = list(zeros)
@@ -305,6 +310,9 @@ def solve_pattern(
     root_tol = 1e-12 * x1_scale if root_tol is None else root_tol
     min_width = 1e-9 * x1_scale if min_width is None else min_width
     horizon = 20.0 * x1_scale if horizon is None else horizon
+    _require_positive(
+        min_width=min_width, horizon=horizon, scan_step=scan_step, root_tol=root_tol
+    )
     q_bound = q_star(kern.sigma)
 
     zeros = [0.0]

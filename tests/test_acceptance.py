@@ -126,7 +126,8 @@ def test_criterion_7_degenerate_construction(construction):
         assert abs(kern.cum(0.0, 1.0) - template.cum(0.0, 1.0)) < 1e-8
         g_int, _ = integrate.quad(
             lambda t: kern.eval(t) / (t * t), 1e-12, 1.0,
-            points=[construction.r_star / 2.0, construction.r_star, construction.r],
+            points=[construction.r_star / 2.0, construction.r_star, construction.r,
+                    *construction.theta_breaks],
             epsabs=0.0, epsrel=1e-10, limit=500,
         )
         assert abs(g_int - template.gamma_const) < 1e-8

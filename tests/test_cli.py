@@ -160,6 +160,14 @@ def test_rings_non_finite_scale_exits_two(tmp_path, capsys, scale):
     )
 
 
+@pytest.mark.parametrize("flag", ["--horizon", "--scan-step", "--root-tol", "--min-width"])
+def test_rings_nan_tuning_flag_exits_two(tmp_path, capsys, flag):
+    err = assert_input_error(
+        ["rings", flag, "nan", "--out", str(tmp_path / "r.csv")], capsys
+    )
+    assert flag[2:].replace("-", "_") in err
+
+
 @pytest.mark.parametrize(
     "bad_line, lineno",
     [("0.95", 15), ("theta,K", 15), ("# sigma = half", None)],

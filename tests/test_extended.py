@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from liesegang import extended, rings
 from liesegang.errors import InvalidParameter, SingularPanel
@@ -28,14 +29,14 @@ def test_mollifier_validation():
 
 
 def test_mollified_start_at_gamma(synthetic):
-    grid, omega = extended.mollified_solve(synthetic, extended.Mollifier(1e-2), 0.5, 2e-3)
+    grid, (omega,) = extended.mollified_solve(synthetic, [extended.Mollifier(1e-2)], 0.5, 2e-3)
     assert omega[0] == synthetic.gamma_const
 
 
 def test_mollified_saturated_plateau(synthetic):
     # before the ramp is reached the relay sits at 1 and omega matches the
     # no-memory closed form
-    grid, omega = extended.mollified_solve(synthetic, extended.Mollifier(1e-2), 1.5, 1e-3)
+    grid, (omega,) = extended.mollified_solve(synthetic, [extended.Mollifier(1e-2)], 1.5, 1e-3)
     expect = synthetic.gamma_const - grid**2 * synthetic.cum(0.0, 1.0)
     mask = expect > 0.1  # comfortably above the ramp
     assert np.max(np.abs(omega[mask] - expect[mask])) < 1e-5
@@ -44,14 +45,48 @@ def test_mollified_saturated_plateau(synthetic):
 def test_mollified_near_first_zero(synthetic):
     x1 = np.sqrt(70.0) / 4.0
     eps, h = 4e-3, 1e-3
-    grid, omega = extended.mollified_solve(synthetic, extended.Mollifier(eps), 2.2, h)
+    grid, (omega,) = extended.mollified_solve(synthetic, [extended.Mollifier(eps)], 2.2, h)
     k = int(round(x1 / h))
     assert abs(omega[k]) < 5 * (eps + np.sqrt(h))
 
 
 def test_step_size_guard(synthetic):
     with pytest.raises(InvalidParameter):
-        extended.mollified_solve(synthetic, extended.Mollifier(1e-3), 1.0, 1e-3)
+        extended.mollified_solve(synthetic, [extended.Mollifier(1e-3)], 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("small", [0, 1, 2])
+def test_step_size_guard_checks_every_level(synthetic, small):
+    eps = [1.6e-2, 8e-3, 4e-3]
+    eps[small] = 3e-3  # below 4h for h = 1e-3, at any position
+    with pytest.raises(InvalidParameter):
+        extended.mollified_solve(synthetic, [extended.Mollifier(e) for e in eps], 1.0, 1e-3)
+
+
+def test_joint_march_rows_equal_single_marches(synthetic):
+    eps = [1.6e-2, 8e-3, 4e-3]
+    grid, omegas = extended.mollified_solve(
+        synthetic, [extended.Mollifier(e) for e in eps], 2.2, 1e-3
+    )
+    assert omegas.shape == (3, len(grid))
+    for row, e in zip(omegas, eps):
+        single_grid, single = extended.mollified_solve(synthetic, [extended.Mollifier(e)], 2.2, 1e-3)
+        assert np.array_equal(single_grid, grid)
+        assert np.array_equal(single[0], row)
+
+
+@pytest.mark.parametrize("eps", [1.6e-2, 8e-3, 4e-3, 0.3])
+def test_ramp_matches_array_call_bitwise(eps):
+    moll = extended.Mollifier(eps)
+    zs = np.concatenate([np.linspace(-2 * eps, 2 * eps, 4001), [eps, -eps, 0.0]])
+    scalar = np.array([moll.ramp(z) for z in zs])
+    assert np.array_equal(scalar, moll(zs))
+    # the same closed form through numpy's array exp, the march's reference
+    t = np.clip((zs + eps) / (2.0 * eps), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        f = np.where(t > 0.0, np.exp(-1.0 / t), 0.0)
+        g = np.where(t < 1.0, np.exp(-1.0 / (1.0 - t)), 0.0)
+    assert np.array_equal(scalar, f / (f + g))
 
 
 def test_eps_sequence_validation(synthetic):
@@ -81,6 +116,18 @@ def test_band_structure(solution, synthetic_pattern):
 def test_residual_certificate(solution):
     assert solution.residual <= 5e-3
     assert solution.residual == pytest.approx(np.max(solution.residual_local))
+
+
+def test_residual_local_matches_adaptive_quadrature(solution, synthetic):
+    grid, rho = solution.grid, solution.rho
+    for k in (1, 2, 7, len(grid) // 2, len(grid) - 1):
+        x = grid[k]
+        val, _ = integrate.quad(
+            lambda t: synthetic.eval(t) * np.interp(t * x, grid, rho), 0.0, 1.0,
+            points=grid[1:k] / x, epsabs=1e-15, epsrel=1e-13, limit=4 * k + 50,
+        )
+        defect = abs(solution.omega[k] - synthetic.gamma_const + x * x * val)
+        assert solution.residual_local[k] == pytest.approx(defect, abs=1e-12)
 
 
 def test_agreement_with_rings(solution, synthetic, synthetic_pattern):

@@ -72,6 +72,14 @@ def test_next_zero_horizon(synthetic):
     assert rings.next_zero(synthetic, [0.0], 0.01, 1e-13, 1.0) is None
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_tuning_values_must_be_positive_and_finite(synthetic, bad):
+    with pytest.raises(InvalidParameter):
+        rings.next_zero(synthetic, [0.0], 0.01, 1e-13, bad)
+    with pytest.raises(InvalidParameter):
+        rings.classify_continuation(synthetic, [0.0, X1_EXACT], bad)
+
+
 def test_march_oracle_equivalence(synthetic, synthetic_pattern):
     oracle = march_oracle(synthetic, 1e-5, 4.0)
     for i in (1, 2, 3):
