@@ -111,6 +111,10 @@ def resolve_kernel(args) -> Kernel:
 
 
 def cmd_profile(args) -> None:
+    if args.n < 2 or not 0.0 < args.eta_max < np.inf:
+        raise InvalidParameter(
+            f"need --n >= 2 and 0 < --eta-max < inf, got {args.n} and {args.eta_max}"
+        )
     params = ModelParams(args.alpha, args.beta, args.ustar)
     report = check_solvability(params)
     profile = solve_kappa(params)  # raises NoRoot when not solvable
@@ -173,6 +177,8 @@ def cmd_rings(args) -> None:
 
 
 def cmd_degenerate(args) -> None:
+    if args.table_points < 1:
+        raise InvalidParameter(f"--table-points must be >= 1, got {args.table_points}")
     template = synthetic_kernel(args.sigma, args.scale)
     cons = dg.construct_degenerate(template)
     verified = dg.verify_degeneracy(cons)

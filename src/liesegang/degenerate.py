@@ -102,42 +102,29 @@ class GapBridge:
     middle: CubicHermiteSpline
     middle_slope: Callable
 
+    def _pieces(self, x):
+        """Template left of x2 - eps, Hermite middle, right branch from x2 + eps."""
+        lo, hi = self.x2 - self.epsilon, self.x2 + self.epsilon
+        return [x <= lo, (x > lo) & (x < hi), x >= hi]
+
     @pointwise
     def value(self, x):
-        t = self.template
-        x1, x2, eps = self.x1, self.x2, self.epsilon
-        out = np.empty_like(x)
-        left = x <= x2 - eps
-        mid = (x > x2 - eps) & (x < x2 + eps)
-        right = x >= x2 + eps
-        if np.any(left):
-            v, _ = _omega_star(t, x1)
-            out[left] = v(x[left])
-        if np.any(mid):
-            out[mid] = self.middle(x[mid])
-        if np.any(right):
-            xr = x[right]
-            out[right] = 0.5 * xr * xr * t.cum((x2 + eps) / xr, 1.0)
-        return out
+        t, z = self.template, self.x2 + self.epsilon
+        left, _ = _omega_star(t, self.x1)
+        return np.piecewise(x, self._pieces(x), [
+            left, self.middle, lambda xr: 0.5 * xr * xr * t.cum(z / xr, 1.0)
+        ])
 
     @pointwise
     def slope(self, x):
-        t = self.template
-        x1, x2, eps = self.x1, self.x2, self.epsilon
-        out = np.empty_like(x)
-        left = x <= x2 - eps
-        mid = (x > x2 - eps) & (x < x2 + eps)
-        right = x >= x2 + eps
-        if np.any(left):
-            _, s = _omega_star(t, x1)
-            out[left] = s(x[left])
-        if np.any(mid):
-            out[mid] = self.middle_slope(x[mid])
-        if np.any(right):
-            xr = x[right]
-            ratio = (x2 + eps) / xr
-            out[right] = xr * t.cum(ratio, 1.0) + 0.5 * (x2 + eps) * t.eval(ratio)
-        return out
+        t, z = self.template, self.x2 + self.epsilon
+
+        def right(xr):
+            ratio = z / xr
+            return xr * t.cum(ratio, 1.0) + 0.5 * z * t.eval(ratio)
+
+        _, left = _omega_star(t, self.x1)
+        return np.piecewise(x, self._pieces(x), [left, self.middle_slope, right])
 
 
 def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> GapBridge:
@@ -413,24 +400,16 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
 
     @pointwise
     def eval_fn(theta):
-        out = np.empty_like(theta)
-        low = theta < r
-        if np.any(low):
-            out[low] = head(theta[low])
-        if np.any(~low):
-            out[~low] = partial.eval(np.minimum(theta[~low], 1.0))
-        return out
+        return np.piecewise(theta, [theta < r], [
+            head, lambda th: partial.eval(np.minimum(th, 1.0))
+        ])
 
     @pointwise
     def prefix(theta):
         flat = np.clip(theta, 0.0, 1.0)
-        out = np.empty_like(flat)
-        low = flat <= r
-        if np.any(low):
-            out[low] = head_prefix(flat[low])
-        if np.any(~low):
-            out[~low] = head_mass + _keps_anti(flat[~low]) - _keps_anti(r)
-        return out
+        return np.piecewise(flat, [flat <= r], [
+            head_prefix, lambda th: head_mass + _keps_anti(th) - _keps_anti(r)
+        ])
 
     def cum_fn(a, b):
         return prefix(b) - prefix(a)

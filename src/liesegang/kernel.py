@@ -47,6 +47,7 @@ from .specfun import SQRT_PI, kummer_m, pointwise
 SIGMA_MAX = float(np.log2(3.0) - 1.0)  # admissible degeneracy exponents (0, log2 3 - 1)
 _V_CUT = 46.0  # e^-46 ~ 1e-20: exponential tail truncation
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+QUAD_TOL_MIN = 50.0 * float(np.finfo(float).eps)  # QUADPACK's floor on epsrel
 
 
 def _quad(f, a, b, quad_tol, **kw):
@@ -162,8 +163,8 @@ def g_eval(profile: Profile, theta: float, quad_tol: float = 1e-10) -> float:
     theta = 0 is only defined for kappa > 2 (continuous extension); for
     kappa <= 2 it diverges and SingularAtZero is raised.
     """
-    if not 0.0 < quad_tol <= 1e-6:
-        raise InvalidParameter(f"quad_tol must lie in (0, 1e-6], got {quad_tol}")
+    if not QUAD_TOL_MIN <= quad_tol <= 1e-6:
+        raise InvalidParameter(f"quad_tol must lie in [{QUAD_TOL_MIN:.3g}, 1e-6], got {quad_tol}")
     if not -1.0 <= theta <= 1.0:
         raise InvalidParameter(f"theta must lie in [-1, 1], got {theta}")
     alpha = profile.params.alpha
@@ -342,8 +343,8 @@ def gamma_const(profile: Profile, quad_tol: float = 1e-9) -> float:
     matching point.  Refinement with doubled panel density provides the
     error estimate.
     """
-    if not 0.0 < quad_tol <= 1e-6:
-        raise InvalidParameter(f"quad_tol must lie in (0, 1e-6], got {quad_tol}")
+    if not QUAD_TOL_MIN <= quad_tol <= 1e-6:
+        raise InvalidParameter(f"quad_tol must lie in [{QUAD_TOL_MIN:.3g}, 1e-6], got {quad_tol}")
     t0 = 1e-10
     kappa = profile.kappa
 

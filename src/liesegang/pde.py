@@ -30,10 +30,10 @@ precipitating index and fills downward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, lapack
 
 from .errors import InvalidParameter
 from .kernel import Kernel
@@ -72,6 +72,10 @@ class PdeConfig:
     def eta(self) -> np.ndarray:
         return self.d_eta * np.arange(self.n_full)
 
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.s_max / self.ds))
+
 
 @dataclass
 class PdeState:
@@ -82,8 +86,11 @@ class PdeState:
     I_max: int
     profile: Profile
     phi_grid: np.ndarray
-    p_source_hist: list = field(default_factory=list)
-    P_hist: list = field(default_factory=list)
+    src: np.ndarray  # (2 gamma / eta^2) Phi on 0 < eta <= alpha, else 0
+    lower: np.ndarray  # the step matrix's fixed off-diagonals
+    upper: np.ndarray
+    p_source_hist: np.ndarray  # slot k: source-cell precipitation at step k
+    P_hist: np.ndarray  # slot k: running sum of p_source_hist[1..k]
 
 
 def init(config: PdeConfig, initial: str = "psi") -> PdeState:
@@ -97,60 +104,44 @@ def init(config: PdeConfig, initial: str = "psi") -> PdeState:
         w0 = np.zeros_like(eta)
     else:
         raise InvalidParameter("initial must be 'psi' or 'phi'")
+    inner = slice(1, config.N + 1)
+    src = np.zeros_like(eta)
+    src[inner] = 2.0 * profile.gamma / eta[inner] ** 2 * phi_grid[inner]
+    de2 = config.d_eta**2
+    upper = -np.arange(config.n_full, dtype=float) - 2.0 / de2
+    upper[0] = -4.0 / de2
     return PdeState(
-        j=0,
-        w=w0,
-        p=np.zeros_like(eta),
-        P_running=0.0,
-        I_max=-1,
-        profile=profile,
-        phi_grid=phi_grid,
-        p_source_hist=[0.0],
-        P_hist=[0.0],
+        j=0, w=w0, p=np.zeros_like(eta), P_running=0.0, I_max=-1, profile=profile,
+        phi_grid=phi_grid, src=src, lower=np.full(config.n_full, -2.0 / de2), upper=upper,
+        p_source_hist=np.zeros(config.n_steps + 1), P_hist=np.zeros(config.n_steps + 1),
     )
 
 
 def assemble_system(state: PdeState, config: PdeConfig, *, p_override=None,
                     source_on: bool = True):
-    """Banded matrix and right side for the step to index j+1."""
+    """Tridiagonal matrix and right side for the step to index j+1."""
     j = state.j + 1
-    n = config.n_full
-    de2 = config.d_eta**2
-    i_arr = np.arange(n)
-    diag = j + i_arr + 4.0 / de2
-    lower = np.full(n, -2.0 / de2)
-    upper = -(i_arr.astype(float)) - 2.0 / de2
-    upper[0] = -4.0 / de2
-
+    diag = j + np.arange(config.n_full) + 4.0 / config.d_eta**2
     s_j = j * config.ds
-    gamma = state.profile.gamma
     p_used = state.p if p_override is None else np.asarray(p_override, dtype=float)
-    src = np.zeros(n)
-    if source_on:
-        inner = i_arr[1:] <= config.N
-        src[1:][inner] = (
-            2.0 * gamma / config.eta[1:][inner] ** 2 * state.phi_grid[1:][inner]
-        )
-    if config.model == FULL:
-        sink = 2.0 * s_j**2 * p_used * (state.phi_grid + state.w)
-    else:
-        sink = 2.0 * s_j**2 * p_used * state.phi_grid
-    b = src + j * state.w - sink
+    density = state.phi_grid + state.w if config.model == FULL else state.phi_grid
+    b = (state.src if source_on else 0.0) + j * state.w
+    # row 0 is overwritten below, so its sink (inf * 0 for a p singular at eta = 0) is skipped
+    b[1:] -= 2.0 * s_j**2 * p_used[1:] * density[1:]
     b[0] = b[1]
-    return diag, lower, upper, b
+    return diag, state.lower, state.upper, b
 
 
 def _solve_tridiagonal(diag, lower, upper, b):
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, b)
+    """LAPACK gtsv; non-finite input raises ValueError, a zero pivot LinAlgError."""
+    *_, x, info = lapack.dgtsv(*map(np.asarray_chkfinite, (lower[1:], diag, upper[:-1], b)))
+    if info:
+        raise LinAlgError(f"gtsv failed with info = {info}")
+    return x
 
 
-def backward_index(i: int, j: int, N: int) -> int:
-    """Past source-time index feeding spatial index i at time j."""
+def backward_index(i, j: int, N: int):
+    """Past source-time index feeding spatial index i (int or array) at time j."""
     return (i * j) // N
 
 
@@ -178,21 +169,20 @@ def transport_p(state: PdeState, config: PdeConfig) -> np.ndarray:
         if state.I_max >= N:
             p[N : state.I_max + 1] = 1.0
 
-    state.p_source_hist.append(p_src)
+    state.p_source_hist[j] = p_src
     state.P_running += p_src
-    state.P_hist.append(state.P_running)
+    state.P_hist[j] = state.P_running
     if config.model == SIMPLIFIED:
         p[N] = p_src
 
     i_arr = np.arange(N)
+    lo = backward_index(i_arr, j, N)
     if j <= N:
-        hist = np.asarray(state.p_source_hist)
-        p[:N] = hist[(i_arr * j) // N]
+        p[:N] = state.p_source_hist[lo]
     else:
-        P = np.asarray(state.P_hist)
-        hi = ((i_arr + 1) * j) // N
-        lo = (i_arr * j) // N
-        p[:N] = (N / j) * (P[np.minimum(hi, j)] - P[np.minimum(lo, j)])
+        # (i + 1) j // N <= j for i < N, so every index is a filled slot
+        hi = backward_index(i_arr + 1, j, N)
+        p[:N] = (N / j) * (state.P_hist[hi] - state.P_hist[lo])
     state.p = p
     return p
 
@@ -200,6 +190,8 @@ def transport_p(state: PdeState, config: PdeConfig) -> np.ndarray:
 def step(state: PdeState, config: PdeConfig, *, p_override=None,
          source_on: bool = True) -> PdeState:
     """Advance one time step: implicit solve, then precipitation transport."""
+    if state.j >= config.n_steps:
+        raise InvalidParameter(f"step {state.j + 1} is past n_steps = {config.n_steps}")
     diag, lower, upper, b = assemble_system(
         state, config, p_override=p_override, source_on=source_on
     )
@@ -224,7 +216,7 @@ class PdeRun:
 def run(config: PdeConfig, initial: str = "psi") -> PdeRun:
     """March to s_max recording the source-line trace and snapshots."""
     state = init(config, initial=initial)
-    n_steps = int(round(config.s_max / config.ds))
+    n_steps = config.n_steps
     cadence = max(1, int(np.ceil(config.s_max / (100.0 * config.ds))))
     s_out = np.empty(n_steps)
     sup_w = np.empty(n_steps)

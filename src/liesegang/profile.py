@@ -141,16 +141,11 @@ def phi_eval(profile: Profile, eta):
     p = profile.params
     if np.any(eta < 0):
         raise InvalidParameter("eta must be non-negative")
-    out = np.empty_like(eta)
-    below = eta < p.alpha
-    if np.any(below):
-        eb = eta[below]
-        out[below] = profile.c1 * eb**profile.kappa * kummer_m(
-            profile.kappa / 2.0, profile.kappa + 0.5, -eb * eb / 4.0
-        )
-    if np.any(~below):
-        out[~below] = p.u_star * erfc(eta[~below] / 2.0) / erfc(p.alpha / 2.0)
-    return out
+    kappa = profile.kappa
+    return np.piecewise(eta, [eta < p.alpha], [
+        lambda eb: profile.c1 * eb**kappa * kummer_m(kappa / 2.0, kappa + 0.5, -eb * eb / 4.0),
+        lambda ea: p.u_star * erfc(ea / 2.0) / erfc(p.alpha / 2.0),
+    ])
 
 
 def psi_at_source(params: ModelParams) -> float:

@@ -313,6 +313,8 @@ def solve_pattern(
     _require_positive(
         min_width=min_width, horizon=horizon, scan_step=scan_step, root_tol=root_tol
     )
+    if max_zeros < 1:
+        raise InvalidParameter(f"max_zeros must be >= 1, got {max_zeros}")
     q_bound = q_star(kern.sigma)
 
     zeros = [0.0]

@@ -169,6 +169,25 @@ def test_rings_nan_tuning_flag_exits_two(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--n", "-3"],
+        ["profile", "--n", "0"],
+        ["profile", "--eta-max", "nan"],
+        ["profile", "--eta-max", "inf"],
+        ["kernel", "--quad-tol", "1e-300"],
+        ["degenerate", "--table-points", "0"],
+        ["degenerate", "--table-points", "-5"],
+        ["rings", "--max-zeros", "0"],
+        ["rings", "--max-zeros", "-1"],
+    ],
+    ids="_".join,
+)
+def test_out_of_range_size_or_tolerance_exits_two(tmp_path, capsys, argv):
+    assert_input_error(argv + ["--out", str(tmp_path / "o.csv")], capsys)
+
+
+@pytest.mark.parametrize(
     "bad_line, lineno",
     [("0.95", 15), ("theta,K", 15), ("# sigma = half", None)],
 )

@@ -102,9 +102,24 @@ def test_kernel_from_bridge_matches_template(template, bridge, partial):
 
 
 def test_kernel_from_bridge_edge_value(template, bridge, partial):
+    # value and slope of the bridge vanish at x2 + eps, so K_eps = 2 theta Gamma / x1^2
+    # there.  theta = x1/(x2 + eps) is a sqrt cusp, where a relative shift d of the
+    # argument moves K_eps by about 5 sqrt(|d|): probe just off it on the smooth
+    # Hermite side tightly, and at the cusp itself within its round-off sensitivity.
     th = bridge.x1 / (bridge.x2 + bridge.epsilon)
+    smooth = th * (1.0 + 1e-10)
+    expect = 2.0 * smooth * template.gamma_const / bridge.x1**2
+    assert partial.eval(smooth) == pytest.approx(expect, rel=1e-9)
     expect = 2.0 * th * template.gamma_const / bridge.x1**2
-    assert partial.eval(th) == pytest.approx(expect, rel=1e-12)
+    assert partial.eval(th) == pytest.approx(expect, rel=1e-6)
+
+
+def test_bridge_array_matches_scalar_calls(bridge):
+    x2, eps = bridge.x2, bridge.epsilon
+    xs = np.array([x2 + 1.5 * eps, x2 - eps, bridge.x1 * 1.1, x2, x2 + eps, x2 - 0.5 * eps,
+                   x2 + 2.0 * eps, x2 - 2.0 * eps])
+    for fn in (bridge.value, bridge.slope):
+        assert np.array_equal(fn(xs), [fn(x) for x in xs])
 
 
 def test_kernel_from_bridge_positive(partial):
@@ -190,6 +205,13 @@ def test_kernel_cum_additive(construction):
     kern = construction.result
     a, b, c = 0.05, construction.r, 0.9
     assert kern.cum(a, b) + kern.cum(b, c) == pytest.approx(kern.cum(a, c), abs=1e-14)
+
+
+def test_kernel_array_matches_scalar_calls(construction):
+    kern, r = construction.result, construction.r
+    thetas = np.array([0.9, r, 0.5 * r, 1.0, 0.0, np.nextafter(r, 0.0), 0.5 * (r + 1.0), 0.1 * r])
+    assert np.array_equal(kern.eval(thetas), [kern.eval(t) for t in thetas])
+    assert np.array_equal(kern.cum(0.0, thetas), [kern.cum(0.0, t) for t in thetas])
 
 
 def test_verify_degeneracy(construction):

@@ -125,6 +125,24 @@ def test_discrete_maximum_principle(params02):
         assert np.min(state.w) >= floor - 1e-12
 
 
+def test_solve_rejects_non_finite_rhs(small_config):
+    state = pde.init(small_config)
+    diag, lower, upper, b = pde.assemble_system(state, small_config)
+    b[5] = np.nan
+    with pytest.raises(ValueError):
+        pde._solve_tridiagonal(diag, lower, upper, b)
+
+
+def test_step_past_n_steps_raises(params02):
+    cfg = pde.PdeConfig(params02, N=16, ds=1e-2, s_max=0.05)
+    state = pde.init(cfg)
+    for _ in range(cfg.n_steps):
+        pde.step(state, cfg)
+    assert state.j == cfg.n_steps == 5
+    with pytest.raises(InvalidParameter):
+        pde.step(state, cfg)
+
+
 def test_lookup_formulas():
     assert pde.backward_index(10, 5, 10) == 5
     assert pde.forward_index(3, 20, 10) == 2
@@ -142,16 +160,17 @@ def test_forward_mapping_mass(bits):
     p_hist = np.asarray(bits, dtype=float)
     prefix = np.concatenate([[p_hist[0]], np.cumsum(p_hist[1:]) + p_hist[0]])
     i_arr = np.arange(n_cells)
-    hi = np.minimum(((i_arr + 1) * j) // n_cells, j)
-    lo = np.minimum((i_arr * j) // n_cells, j)
+    hi = pde.backward_index(i_arr + 1, j, n_cells)
+    lo = pde.backward_index(i_arr, j, n_cells)
     p_row = (n_cells / j) * (prefix[hi] - prefix[lo])
-    brute = np.zeros(n_cells)
+    brute = np.zeros(n_cells + 1)
     for k in range(1, j + 1):
         i = pde.forward_index(k, j, n_cells)
-        if i < n_cells:
+        if i <= n_cells:
             brute[i] += (n_cells / j) * p_hist[k]
-    # identical except for the k = 0 cell convention; compare the totals and
-    # the interior cells
+    # running-sum cell i collects exactly the sources k with
+    # forward_index(k, j, N) == i + 1
+    assert p_row == pytest.approx(brute[1:], rel=1e-12, abs=1e-12)
     assert (j / n_cells) * np.sum(p_row) == pytest.approx(prefix[j] - prefix[0], abs=1e-12)
 
 

@@ -76,6 +76,12 @@ def test_phi_branches_agree_at_alpha(profile02):
     assert abs(left - right) < 1e-10
 
 
+def test_phi_array_matches_scalar_calls(profile02):
+    alpha = profile02.params.alpha
+    eta = np.array([2.0, 0.3, alpha, 0.0, np.nextafter(alpha, 0.0), 5.5, 0.9 * alpha])
+    assert np.array_equal(phi_eval(profile02, eta), [phi_eval(profile02, e) for e in eta])
+
+
 def test_phi_positive_and_decaying(profile02):
     eta = np.linspace(0.05, 8.0, 200)
     vals = phi_eval(profile02, eta)
