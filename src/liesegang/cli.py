@@ -56,6 +56,11 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--scale", type=float, default=1.0)
     _add_model_flags(p)
+    _add_table_flags(p)
+
+
+def _add_table_flags(p: argparse.ArgumentParser) -> None:
+    """Resolution of the derived-kernel table."""
     p.add_argument("--table-points", type=int, default=2048)
     p.add_argument("--quad-tol", type=float, default=1e-9)
 
@@ -301,14 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--eta-max", type=float, default=6.0)
     p.add_argument("--n", type=int, default=601)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("kernel", help="tabulate the derived memory kernel")
     _add_model_flags(p)
-    p.add_argument("--table-points", type=int, default=2048)
-    p.add_argument("--quad-tol", type=float, default=1e-9)
-    p.add_argument("--out", default="-")
+    _add_table_flags(p)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("rings", help="solve the band pattern")
@@ -318,14 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--scan-step", type=float, default=None)
     p.add_argument("--root-tol", type=float, default=None)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_rings)
 
     p = sub.add_parser("degenerate", help="construct a degenerate-breakdown kernel")
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--table-points", type=int, default=2048)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_degenerate)
 
     p = sub.add_parser("extended", help="completed-relay solution")
@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=5.0)
     p.add_argument("--h", type=float, default=1e-3)
     p.add_argument("--eps", default="1.6e-2,8e-3,4e-3")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_extended)
 
     p = sub.add_parser("pde", help="finite-difference run in similarity variables")
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=100)
     p.add_argument("--ds", type=float, default=1e-2)
     p.add_argument("--smax", type=float, default=40.0)
-    p.add_argument("--out", default="-")
     p.add_argument("--snapshots-out", default=None)
     p.set_defaults(func=cmd_pde)
 
@@ -352,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--ds", type=float, default=1e-3)
     p.add_argument("--smax", type=float, default=4.0)
-    p.add_argument("--table-points", type=int, default=2048)
-    p.add_argument("--quad-tol", type=float, default=1e-9)
-    p.add_argument("--out", default="-")
+    _add_table_flags(p)
     p.set_defaults(func=cmd_compare)
+    for p in sub.choices.values():
+        p.add_argument("--out", default="-")
     return parser
 
 

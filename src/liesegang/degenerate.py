@@ -99,6 +99,8 @@ class GapBridge:
     x2: float
     epsilon: float
     z_eps: float
+    left: Callable  # omega* and its slope, left of x2 - eps
+    left_slope: Callable
     middle: CubicHermiteSpline
     middle_slope: Callable
 
@@ -110,9 +112,8 @@ class GapBridge:
     @pointwise
     def value(self, x):
         t, z = self.template, self.x2 + self.epsilon
-        left, _ = _omega_star(t, self.x1)
         return np.piecewise(x, self._pieces(x), [
-            left, self.middle, lambda xr: 0.5 * xr * xr * t.cum(z / xr, 1.0)
+            self.left, self.middle, lambda xr: 0.5 * xr * xr * t.cum(z / xr, 1.0)
         ])
 
     @pointwise
@@ -123,8 +124,7 @@ class GapBridge:
             ratio = z / xr
             return xr * t.cum(ratio, 1.0) + 0.5 * z * t.eval(ratio)
 
-        _, left = _omega_star(t, self.x1)
-        return np.piecewise(x, self._pieces(x), [left, self.middle_slope, right])
+        return np.piecewise(x, self._pieces(x), [self.left_slope, self.middle_slope, right])
 
 
 def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> GapBridge:
@@ -142,8 +142,7 @@ def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> 
     value_star, slope_star = _omega_star(template, x1)
     if slope_star(x2) <= 0:
         raise TangentialTemplate("template solution is tangential at its second zero")
-    xs_check = np.linspace(x2 - epsilon, x2, 65)
-    if any(slope_star(x) <= 0 for x in xs_check):
+    if np.any(slope_star(np.linspace(x2 - epsilon, x2, 65)) <= 0):
         raise BridgeInfeasible("omega*' is not positive on [x2 - eps, x2]")
 
     x_l = x2 - epsilon
@@ -195,10 +194,10 @@ def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> 
     else:
         z_eps = z_hi
 
-    bridge = GapBridge(template, x1, x2, epsilon, float(z_eps), middle, middle_slope)
+    bridge = GapBridge(template, x1, x2, epsilon, float(z_eps), value_star, slope_star,
+                       middle, middle_slope)
     # conditions: increasing and below Gamma across the modified interval
-    probes = np.linspace(x_l, x2 + 2.0 * epsilon, 65)
-    vals = np.array([bridge.value(x) for x in probes])
+    vals = bridge.value(np.linspace(x_l, x2 + 2.0 * epsilon, 65))
     if np.any(np.diff(vals) <= 0):
         raise BridgeInfeasible("bridge is not increasing on the modified interval")
     if np.any(vals >= gamma):
@@ -253,16 +252,15 @@ def kernel_from_bridge(template: Kernel, bridge: GapBridge, x1: float) -> Partia
     )
 
 
-def choose_epsilon(template: Kernel, x1: float, x2: float) -> float:
+def choose_epsilon(template: Kernel, x1: float, x2: float) -> PartialKernel:
     """Scan eps = x2 * 2^-k until the head-mass inequality holds with a 10% margin.
 
     The inequality (int K* - int_r^1 K_eps) / (int G* - int_r^1 G_eps) < r^2
     makes room for the head construction; it holds for all small eps because
-    K* = theta^2 G* pushes the masses below r^2 on [0, r].
+    K* = theta^2 G* pushes the masses below r^2 on [0, r].  Returns the
+    accepted partial kernel; its bridge carries eps.  A tangential template
+    raises TangentialTemplate from the first bridge.
     """
-    _, slope_star = _omega_star(template, x1)
-    if slope_star(x2) <= 0:
-        raise TangentialTemplate("template solution is tangential at its second zero")
     gamma = template.gamma_const
     total_k = template.cum(0.0, 1.0)
     for k in range(2, 41):
@@ -276,7 +274,7 @@ def choose_epsilon(template: Kernel, x1: float, x2: float) -> float:
         num = total_k - partial.int_k
         den = gamma - partial.int_g
         if num > 0 and den > 0 and num / den < 0.9 * r * r:
-            return float(eps)
+            return partial
     raise EpsilonNotFound("no admissible epsilon within 40 halvings")
 
 
@@ -445,12 +443,11 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
 
 
 def construct_degenerate(template: Kernel | None = None) -> DegenerateConstruction:
-    """Full pipeline: zeros, epsilon scan, bridge, head fill."""
+    """Full pipeline: zeros, epsilon scan (which builds the accepted bridge
+    and partial kernel once), head fill."""
     template = template or default_template()
     x1, x2 = template_zeros(template)
-    eps = choose_epsilon(template, x1, x2)
-    bridge = build_gap_bridge(template, x1, x2, eps)
-    partial = kernel_from_bridge(template, bridge, x1)
+    partial = choose_epsilon(template, x1, x2)
     cons = fill_head(template, partial, partial.r)
 
     # mass identities must hold by construction; verify to 1e-8 with the

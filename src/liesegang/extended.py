@@ -143,10 +143,11 @@ def extended_solve(kern: Kernel, b: float, h: float, eps_sequence) -> ExtendedSo
         e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])
     ):
         raise InvalidParameter("eps_sequence must be strictly decreasing")
-    grid, omegas = mollified_solve(kern, [Mollifier(e) for e in eps_sequence], b, h)
+    mollifiers = [Mollifier(e) for e in eps_sequence]
+    grid, omegas = mollified_solve(kern, mollifiers, b, h)
     changes = [np.nan] + [float(np.max(np.abs(o2 - o1))) for o1, o2 in zip(omegas, omegas[1:])]
     omega = omegas[-1]
-    rho = Mollifier(eps_sequence[-1])(omega)
+    rho = mollifiers[-1](omega)
     half = 0.5 * (grid[1:] - grid[:-1])
     mid = 0.5 * (grid[1:] + grid[:-1])
     node_y = (mid[:, None] + half[:, None] * _GL4_X[None, :]).ravel()
@@ -178,21 +179,6 @@ class RegularExtension:
     out_of_range: tuple  # panel indices where rho leaves [0, 1] by more than 1e-6
 
 
-def _history_mass(kern: Kernel, pattern: RingPattern, x: float, x_star: float) -> float:
-    """x^2 * sum over precipitated history of the kernel window masses."""
-    z = list(pattern.zeros)
-    n_bands = len(z) - 1
-    total = 0.0
-    for i in range(0, n_bands, 2):
-        a, b_ = z[i], z[i + 1]
-        total += float(kern.cum(a / x, min(b_, x_star) / x))
-    # the unresolved sliver between the last zero and x* keeps the parity
-    # of the open band
-    if n_bands % 2 == 0 and x_star > z[-1]:
-        total += float(kern.cum(z[-1] / x, x_star / x))
-    return x * x * total
-
-
 def regular_extension_solve(
     kern: Kernel, pattern: RingPattern, b: float, h: float
 ) -> RegularExtension:
@@ -213,10 +199,14 @@ def regular_extension_solve(
     gamma = kern.gamma_const
     m = int(np.floor((b - x_star) / h))
     edges = x_star + h * np.arange(m + 1)
+    history = pattern.precipitated()
     rho = np.empty(m)
     for j in range(1, m + 1):
         x = edges[j]
-        hist = _history_mass(kern, pattern, x, x_star)
+        hist = 0.0  # scalar cum calls: one array call would round differently
+        for lo, hi in history:
+            hist += float(kern.cum(lo / x, hi / x))
+        hist *= x * x
         prev = float(
             np.dot(rho[: j - 1], x * x * kern.cum(edges[: j - 1] / x, edges[1:j] / x))
         ) if j > 1 else 0.0
@@ -228,15 +218,7 @@ def regular_extension_solve(
     # independent residual: rho is piecewise constant between known
     # discontinuities (ring boundaries, then panel edges), so integrate
     # K(theta) piece by piece with Gauss rules on the exact partition
-    z = list(pattern.zeros)
-    n_bands = len(z) - 1
-    pieces = []  # (y_lo, y_hi, rho value)
-    for i in range(n_bands):
-        lo, hi = z[i], min(z[i + 1], x_star)
-        if hi > lo:
-            pieces.append((lo, hi, 1.0 if i % 2 == 0 else 0.0))
-    if n_bands % 2 == 0 and x_star > z[-1]:
-        pieces.append((z[-1], x_star, 1.0))
+    pieces = [(lo, hi, 1.0) for lo, hi in history if hi > lo]  # (y_lo, y_hi, rho)
     for j in range(m):
         pieces.append((float(edges[j]), float(edges[j + 1]), float(rho[j])))
 

@@ -43,6 +43,12 @@ from .rings import RingPattern, omega_eval
 FULL = "full"
 SIMPLIFIED = "simplified"
 
+# size caps, checked before anything is allocated: run() keeps about 100
+# snapshots of w and p on 6 N cells (about 9600 N bytes), and the step
+# histories and recorded traces take 48 bytes per step
+MAX_N = 20_000  # 10x the largest N the benchmark runs
+MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class PdeConfig:
@@ -53,10 +59,12 @@ class PdeConfig:
     model: str = SIMPLIFIED
 
     def __post_init__(self):
-        if self.N < 16:
-            raise InvalidParameter(f"N must be >= 16, got {self.N}")
-        if not (self.ds > 0 and self.s_max > self.ds):
-            raise InvalidParameter("need ds > 0 and s_max > ds")
+        if not 16 <= self.N <= MAX_N:
+            raise InvalidParameter(f"N must lie in [16, {MAX_N}], got {self.N}")
+        if not (self.ds > 0 and self.ds < self.s_max < np.inf):
+            raise InvalidParameter("need ds > 0 and finite s_max > ds")
+        if not self.s_max / self.ds <= MAX_STEPS:
+            raise InvalidParameter(f"s_max/ds must be at most {MAX_STEPS} steps")
         if self.model not in (FULL, SIMPLIFIED):
             raise InvalidParameter(f"model must be '{FULL}' or '{SIMPLIFIED}'")
 

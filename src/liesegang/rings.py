@@ -46,21 +46,22 @@ class RingPattern:
     x_star: float
     q_star_bound: float
 
-    def rings(self):
-        """Precipitation intervals (x_2j, x_2j+1)."""
+    def precipitated(self):
+        """Precipitated intervals in order: the rings (x_2j, x_2j+1) and,
+        when the open band is a ring, the unresolved sliver (x_last, x*)."""
         z = self.zeros
-        return tuple((z[i], z[i + 1]) for i in range(0, len(z) - 1, 2))
-
-    def gaps(self):
-        z = self.zeros
-        return tuple((z[i], z[i + 1]) for i in range(1, len(z) - 1, 2))
+        out = [(z[i], z[i + 1]) for i in range(0, len(z) - 1, 2)]
+        if len(z) % 2 == 1 and self.x_star > z[-1]:
+            out.append((z[-1], self.x_star))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
 class ContinuationVerdict:
     positive_consistent: bool
     negative_consistent: bool
-    probe_values: tuple  # rows (x_probe, positive candidate, negative candidate)
+    positive_refuted: bool
+    negative_refuted: bool
 
     @property
     def degenerate(self) -> bool:
@@ -170,19 +171,6 @@ def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
     return None
 
 
-def _value_floor(kern: Kernel, zeros, root_tol: float) -> tuple[float, float, float]:
-    """Resolution scales for probe values near the last recorded zero.
-
-    Rounding of the partial sums is locally correlated, so probe signs stay
-    meaningful down to a few ulps of the term scale; a recorded zero that is
-    itself displaced (tangential case) biases both candidate formulas by its
-    residual, which therefore also caps the resolution.
-    """
-    noise = 32.0 * np.finfo(float).eps * max(abs(kern.gamma_const), 1.0)
-    residual = abs(float(omega_eval(kern, list(zeros), zeros[-1])))
-    return noise, residual, max(min(root_tol, noise), 4.0 * residual)
-
-
 def classify_continuation(kern: Kernel, zeros, delta_probe: float,
                           root_tol: float = 1e-12) -> ContinuationVerdict:
     """Test both sign hypotheses just past the last confirmed zero.
@@ -192,8 +180,10 @@ def classify_continuation(kern: Kernel, zeros, delta_probe: float,
     is even, and drops the toggle otherwise.  Hypothesis - symmetrically.
     A hypothesis is consistent when its candidate carries the hypothesized
     sign at the probes last + delta * 2^-j, j = 0..6, or, with all probes
-    at the root-tolerance level, when its one-sided slope does.
-    Raises AmbiguousContinuation if both hypotheses pass.
+    at the root-tolerance level, when its one-sided slope does.  A
+    hypothesis is refuted when some probe value of the wrong sign clears
+    the resolution floor.  Raises AmbiguousContinuation if both hypotheses
+    pass.
     """
     if len(zeros) < 2:
         raise InvalidParameter("need at least one positive zero to classify")
@@ -209,7 +199,13 @@ def classify_continuation(kern: Kernel, zeros, delta_probe: float,
     probes = last + delta_probe * 0.5 ** np.arange(7)
     cand_pos = omega_eval(kern, pos_zeros, probes)
     cand_neg = omega_eval(kern, neg_zeros, probes)
-    noise, residual, value_floor = _value_floor(kern, zeros, root_tol)
+    # resolution of the probe values: rounding of the partial sums is locally
+    # correlated, so probe signs stay meaningful down to a few ulps of the
+    # term scale; a recorded zero that is itself displaced (tangential case)
+    # biases both candidates by its residual, which also caps the resolution
+    noise = 32.0 * np.finfo(float).eps * max(abs(kern.gamma_const), 1.0)
+    residual = abs(float(omega_eval(kern, list(zeros), zeros[-1])))
+    value_floor = max(min(root_tol, noise), 4.0 * residual)
 
     def consistent(vals, zeros_used, sign):
         informative = np.abs(vals) > value_floor
@@ -235,11 +231,10 @@ def classify_continuation(kern: Kernel, zeros, delta_probe: float,
         raise AmbiguousContinuation(
             f"both sign hypotheses are consistent past x={last!r}"
         )
-    rows = tuple(
-        (float(p), float(cp), float(cn))
-        for p, cp, cn in zip(probes, cand_pos, cand_neg)
+    return ContinuationVerdict(
+        bool(pos_ok), bool(neg_ok),
+        bool(np.any(cand_pos < -value_floor)), bool(np.any(cand_neg > value_floor)),
     )
-    return ContinuationVerdict(bool(pos_ok), bool(neg_ok), rows)
 
 
 def q_star(sigma: float) -> float:
@@ -345,15 +340,11 @@ def solve_pattern(
         # has merely exhausted the floating-point resolution
         delta = width / 4.0
         delta_floor = 64.0 * np.finfo(float).eps * max(zeros[-1], 1.0)
-        _, _, value_floor = _value_floor(kern, zeros, root_tol)
         refuted_pos = refuted_neg = False
         while True:
             verdict = classify_continuation(kern, zeros, delta, root_tol)
-            rows = np.asarray(verdict.probe_values)
-            if not verdict.positive_consistent:
-                refuted_pos |= bool(np.any(rows[:, 1] < -value_floor))
-            if not verdict.negative_consistent:
-                refuted_neg |= bool(np.any(rows[:, 2] > value_floor))
+            refuted_pos |= verdict.positive_refuted
+            refuted_neg |= verdict.negative_refuted
             if not verdict.degenerate or delta / 16.0 <= delta_floor:
                 break
             delta /= 16.0

@@ -138,6 +138,7 @@ def test_criterion_7_degenerate_construction(construction):
         )
         assert not verdict.positive_consistent
         assert not verdict.negative_consistent
+        assert verdict.positive_refuted and verdict.negative_refuted
 
 
 def test_criterion_8_extended_certificate(synthetic, synthetic_pattern):

@@ -180,6 +180,9 @@ def test_rings_nan_tuning_flag_exits_two(tmp_path, capsys, flag):
         ["degenerate", "--table-points", "-5"],
         ["rings", "--max-zeros", "0"],
         ["rings", "--max-zeros", "-1"],
+        ["pde", "--smax", "inf"],
+        ["pde", "--smax", "1e300"],
+        ["pde", "--ds", "1e-300"],
     ],
     ids="_".join,
 )

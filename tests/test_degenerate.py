@@ -22,8 +22,7 @@ def zeros12(template):
 @pytest.fixture(scope="module")
 def bridge(template, zeros12):
     x1, x2 = zeros12
-    eps = dg.choose_epsilon(template, x1, x2)
-    return dg.build_gap_bridge(template, x1, x2, eps)
+    return dg.choose_epsilon(template, x1, x2).bridge
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +92,33 @@ def test_tangential_guard(template, zeros12):
     # second-zero location must be rejected
     with pytest.raises((TangentialTemplate, BridgeInfeasible)):
         dg.build_gap_bridge(template, x1, 2.2, 0.05)
+
+
+def test_choose_epsilon_tangential_guard(template, zeros12):
+    # the scan's first bridge raises TangentialTemplate, which it does not catch
+    x1, _ = zeros12
+    with pytest.raises(TangentialTemplate):
+        dg.choose_epsilon(template, x1, 2.2)
+
+
+def test_accepted_bridge_is_built_once(template, zeros12, monkeypatch):
+    # construct_degenerate hands choose_epsilon's partial kernel to fill_head
+    # instead of rebuilding the bridge and K_eps with the accepted eps
+    calls = {"build_gap_bridge": 0, "kernel_from_bridge": 0}
+    for name in calls:
+        original = getattr(dg, name)
+
+        def counted(*args, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(dg, name, counted)
+    partial = dg.choose_epsilon(template, *zeros12)
+    scan = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    cons = dg.construct_degenerate(template)
+    assert calls == scan
+    assert cons.epsilon == partial.bridge.epsilon
 
 
 def test_kernel_from_bridge_matches_template(template, bridge, partial):

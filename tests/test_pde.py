@@ -22,6 +22,26 @@ def test_config_validation(params02):
         pde.PdeConfig(params02, N=32, ds=1e-2, s_max=1.0, model="other")
 
 
+@pytest.mark.parametrize(
+    "n_cells, ds, s_max",
+    [(10**8, 1e-2, 1.0), (32, 1e-2, np.inf),
+     (32, 1e-2, 1e300), (32, 1e-300, 40.0), (32, 1e-300, 1e300), (32, 1e-2, np.nan)],
+)
+def test_config_rejects_sizes_before_allocating(params02, n_cells, ds, s_max):
+    # N = 10**8 is only ever passed to the constructor: a run would take gigabytes
+    with pytest.raises(InvalidParameter):
+        pde.PdeConfig(params02, N=n_cells, ds=ds, s_max=s_max)
+
+
+def test_config_size_caps_are_inclusive(params02):
+    cfg = pde.PdeConfig(params02, N=pde.MAX_N, ds=1e-6, s_max=1.0)
+    assert cfg.n_steps == pde.MAX_STEPS
+    with pytest.raises(InvalidParameter):
+        pde.PdeConfig(params02, N=pde.MAX_N + 1, ds=1e-2, s_max=1.0)
+    with pytest.raises(InvalidParameter):
+        pde.PdeConfig(params02, N=32, ds=1e-6, s_max=1.1)
+
+
 def test_domain_extent(small_config):
     assert small_config.n_full == 6 * small_config.N
     assert small_config.eta[-1] == pytest.approx(6.0 - small_config.d_eta)

@@ -127,12 +127,34 @@ def test_classify_at_first_zero(synthetic, synthetic_pattern):
     v = rings.classify_continuation(synthetic, list(synthetic_pattern.zeros[:2]), 0.1)
     assert not v.positive_consistent
     assert v.negative_consistent
+    # past x1 the ring candidate (no toggle) is negative above the floor
+    assert v.positive_refuted
+    assert not v.negative_refuted
 
 
 def test_classify_at_second_zero(synthetic, synthetic_pattern):
     v = rings.classify_continuation(synthetic, list(synthetic_pattern.zeros[:3]), 1e-3)
     assert v.positive_consistent
     assert not v.negative_consistent
+
+
+@pytest.mark.parametrize(
+    "zeros, x_star, expect",
+    [
+        # three zeros: the open band 3 is a gap, so only the rings precipitate
+        ((0.0, 1.0, 2.0, 2.5), 2.7, ((0.0, 1.0), (2.0, 2.5))),
+        # four zeros: the open ring band runs on to x*
+        ((0.0, 1.0, 2.0, 2.5, 2.75), 2.9, ((0.0, 1.0), (2.0, 2.5), (2.75, 2.9))),
+        ((0.0, 1.0, 2.0, 2.5, 2.75), 2.75, ((0.0, 1.0), (2.0, 2.5))),
+    ],
+)
+def test_precipitated_intervals(zeros, x_star, expect):
+    pat = rings.RingPattern(
+        zeros=zeros, widths=tuple(np.diff(zeros)), ratios=(),
+        classification=rings.Classification.NON_DEGENERATE_ACCUMULATION,
+        x_star=x_star, q_star_bound=rings.q_star(0.5),
+    )
+    assert pat.precipitated() == expect
 
 
 def test_truncated_budget(synthetic):
