@@ -16,7 +16,7 @@ import numpy as np
 
 from . import degenerate as dg
 from . import extended as ext
-from . import pde, rings
+from . import kernel, pde, rings
 from .errors import InvalidParameter, LiesegangError
 from .kernel import Kernel, build_kernel_table, kernel_from_samples, synthetic_kernel
 from .profile import ModelParams, check_solvability, phi_eval, psi_eval, solve_kappa
@@ -182,8 +182,9 @@ def cmd_rings(args) -> None:
 
 
 def cmd_degenerate(args) -> None:
-    if args.table_points < 1:
-        raise InvalidParameter(f"--table-points must be >= 1, got {args.table_points}")
+    cap = kernel.MAX_TABLE_POINTS
+    if not 1 <= args.table_points <= cap:
+        raise InvalidParameter(f"--table-points must lie in [1, {cap}], got {args.table_points}")
     template = synthetic_kernel(args.sigma, args.scale)
     cons = dg.construct_degenerate(template)
     verified = dg.verify_degeneracy(cons)

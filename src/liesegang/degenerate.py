@@ -49,27 +49,14 @@ def default_template() -> Kernel:
 
 def template_zeros(template: Kernel) -> tuple[float, float]:
     """First two zeros x1 < x2 of the template band solution."""
-    gamma = template.gamma_const
-    x1 = float(np.sqrt(gamma / template.cum(0.0, 1.0)))
-
-    def omega(x):
-        return gamma - x * x * template.cum(0.0, min(x1 / x, 1.0))
-
-    lo = x1 * 1.0001
-    hi = x1 * 1.5
-    while omega(hi) < 0:
+    x1 = float(np.sqrt(template.gamma_const / template.cum(0.0, 1.0)))
+    value, _ = _omega_star(template, x1)
+    lo, hi = x1 * 1.0001, x1 * 1.5
+    while value(hi) < 0:
         hi *= 1.5
         if hi > 1e6 * x1:
             raise InvalidParameter("no second zero found for template")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if omega(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * x1:
-            break
-    return x1, 0.5 * (lo + hi)
+    return x1, optimize.brentq(value, lo, hi, xtol=np.finfo(float).tiny)  # 4 eps relative
 
 
 def _omega_star(template: Kernel, x1: float):
@@ -409,12 +396,9 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
             head_prefix, lambda th: head_mass + _keps_anti(th) - _keps_anti(r)
         ])
 
-    def cum_fn(a, b):
-        return prefix(b) - prefix(a)
-
     kern = Kernel(
         eval=eval_fn,
-        cum=cum_fn,
+        prefix=prefix,
         gamma_const=gamma,
         sigma=template.sigma,
         k_coeff=template.k_coeff,

@@ -31,6 +31,7 @@ from .specfun import pointwise
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
 _ZERO = np.float64(0.0)  # 0/0 at a NaN argument gives NaN, as the array path does
+MAX_NODES = 10**6  # grid nodes or panels of one march, checked before allocating
 
 
 def _end_panel(theta_lo: float):
@@ -83,7 +84,7 @@ def mollified_solve(kern: Kernel, mollifiers, b: float, h: float):
     of omega per mollifier.
 
     Product integration: rho-factor piecewise linear (trapezoidal weights),
-    kernel mass per panel exact through cum, so the degenerate last panel
+    kernel mass per panel exact through prefix, so the degenerate last panel
     carries its true h^(1+sigma) weight.  The masses do not depend on the
     mollifier, so every level is marched in the same pass over the nodes,
     each with its own sums.  The implicit last-node value is resolved by
@@ -92,6 +93,8 @@ def mollified_solve(kern: Kernel, mollifiers, b: float, h: float):
     mollifiers = list(mollifiers)
     if not (0.0 < b < np.inf and h > 0.0):
         raise InvalidParameter("b and h must be positive and b finite")
+    if not b / h <= MAX_NODES:
+        raise InvalidParameter(f"b/h = {b / h:.3g} exceeds {MAX_NODES} grid nodes")
     if not mollifiers:
         raise InvalidParameter("need at least one mollifier")
     if any(h > m.epsilon / 4.0 for m in mollifiers):
@@ -107,8 +110,7 @@ def mollified_solve(kern: Kernel, mollifiers, b: float, h: float):
     phi_last = [m.ramp(gamma) for m in mollifiers]
     for k in range(1, n + 1):
         xk = x[k]
-        theta = x[: k + 1] / xk
-        masses = xk * xk * kern.cum(theta[:-1], theta[1:])
+        masses = xk * xk * np.diff(kern.prefix(x[: k + 1] / xk))
         c_last = float(masses[k - 1])
         for j, moll in enumerate(mollifiers):
             known = float(np.dot(means[j, : k - 1], masses[: k - 1]))
@@ -188,29 +190,29 @@ def regular_extension_solve(
     edges: the newest panel coefficient x^2 int_(panel) K(y/x) dy/x is
     positive, so each step is a scalar division.
     """
-    if pattern.classification not in (
+    history = pattern.precipitated()
+    if not history or pattern.classification not in (
         Classification.NON_DEGENERATE_ACCUMULATION,
         Classification.DEGENERATE,
     ):
-        raise InvalidParameter("pattern must have a known breakdown point")
+        raise InvalidParameter("pattern must have a ring and a known breakdown point")
     x_star = pattern.x_star
     if not (h > 0.0 and x_star + h < b < np.inf):
         raise InvalidParameter("need h > 0 and finite b exceeding x* by at least one panel")
+    if not (b - x_star) / h <= MAX_NODES:
+        raise InvalidParameter(f"(b - x*)/h exceeds {MAX_NODES} panels")
     gamma = kern.gamma_const
     m = int(np.floor((b - x_star) / h))
     edges = x_star + h * np.arange(m + 1)
-    history = pattern.precipitated()
+    ring_lo, ring_hi = np.transpose(history)
     rho = np.empty(m)
     for j in range(1, m + 1):
         x = edges[j]
-        hist = 0.0  # scalar cum calls: one array call would round differently
-        for lo, hi in history:
-            hist += float(kern.cum(lo / x, hi / x))
-        hist *= x * x
-        prev = float(
-            np.dot(rho[: j - 1], x * x * kern.cum(edges[: j - 1] / x, edges[1:j] / x))
-        ) if j > 1 else 0.0
-        coeff = x * x * float(kern.cum(edges[j - 1] / x, 1.0))
+        # summed in ring order, as np.cumsum does (np.sum would pair the terms)
+        hist = x * x * float(np.cumsum(kern.cum(ring_lo / x, ring_hi / x))[-1])
+        masses = x * x * np.diff(kern.prefix(np.append(edges[:j] / x, 1.0)))
+        prev = float(np.dot(rho[: j - 1], masses[:-1]))
+        coeff = float(masses[-1])
         if coeff < 1e3 * np.finfo(float).eps * max(gamma, 1.0):
             raise SingularPanel(f"panel {j} coefficient {coeff:.2e} too small")
         rho[j - 1] = (gamma - hist - prev) / coeff

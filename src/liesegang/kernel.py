@@ -33,7 +33,7 @@ kernels rebuilt from sampled values.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -48,6 +48,7 @@ SIGMA_MAX = float(np.log2(3.0) - 1.0)  # admissible degeneracy exponents (0, log
 _V_CUT = 46.0  # e^-46 ~ 1e-20: exponential tail truncation
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 QUAD_TOL_MIN = 50.0 * float(np.finfo(float).eps)  # QUADPACK's floor on epsrel
+MAX_TABLE_POINTS = 1 << 16  # cap on table/export sizes, checked before allocating
 
 
 def _quad(f, a, b, quad_tol, **kw):
@@ -61,18 +62,27 @@ def _quad(f, a, b, quad_tol, **kw):
 class Kernel:
     """Evaluator bundle for one memory kernel.
 
-    eval maps theta in [0,1] (scalar or array) to K(theta) >= 0; cum(a, b)
-    returns int_a^b K, additively (cum(a,b) + cum(b,c) == cum(a,c) to
-    round-off); gamma_const is the constant term Gamma of the integral
-    equation driven by this kernel; K ~ k_coeff (1-theta)^sigma near 1.
+    eval maps theta in [0,1] (scalar or array) to K(theta) >= 0; prefix is
+    an antiderivative of K (any additive constant, scalar or array), and
+    cum(a, b) = int_a^b K is its difference; gamma_const is the constant
+    term Gamma of the integral equation driven by this kernel; K ~ k_coeff
+    (1-theta)^sigma near 1.
     """
 
     eval: Callable
-    cum: Callable
+    prefix: Callable
     gamma_const: float
     sigma: float
     k_coeff: float
     label: str = "kernel"
+    # derived from prefix, but still a constructor argument: perfbench's
+    # tracer swaps in a recording eval and cum through dataclasses.replace
+    cum: Callable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.cum is None:
+            prefix = self.prefix
+            object.__setattr__(self, "cum", lambda a, b: prefix(b) - prefix(a))
 
 
 @dataclass(frozen=True)
@@ -103,26 +113,22 @@ def synthetic_kernel(sigma: float, scale: float) -> Kernel:
     if not 0.0 < scale < np.inf:
         raise InvalidParameter(f"scale must be positive and finite, got {scale}")
 
-    def antideriv(t):
-        # int theta^2 (1-theta)^sigma dtheta with theta^2 = 1 - 2(1-t) + (1-t)^2
-        s = np.asarray(t, dtype=float)
-        one = 1.0 - s
-        return (
-            -(one ** (sigma + 1.0)) / (sigma + 1.0)
-            + 2.0 * one ** (sigma + 2.0) / (sigma + 2.0)
-            - one ** (sigma + 3.0) / (sigma + 3.0)
-        )
+    @pointwise
+    def prefix(theta):
+        # scale * int theta^2 (1-theta)^sigma with theta^2 = 1 - 2(1-t) + (1-t)^2;
+        # one power of 1 - theta, the next two by multiplying
+        one = 1.0 - theta
+        p1 = one ** (sigma + 1.0)
+        p2 = p1 * one
+        return scale * (-p1 / (sigma + 1.0) + 2.0 * p2 / (sigma + 2.0) - p2 * one / (sigma + 3.0))
 
     def k_eval(theta):
         t = np.asarray(theta, dtype=float)
         return scale * t * t * (1.0 - t) ** sigma
 
-    def k_cum(a, b):
-        return scale * (antideriv(b) - antideriv(a))
-
     return Kernel(
         eval=k_eval,
-        cum=k_cum,
+        prefix=prefix,
         gamma_const=scale / (1.0 + sigma),
         sigma=sigma,
         k_coeff=scale,
@@ -400,11 +406,11 @@ def _u_of_theta(theta):
     return np.arcsin(np.sqrt(np.clip(theta, 0.0, 1.0)))
 
 
-def _spline_cum(eval_fn: Callable, n_fine: int):
-    """Exactly additive int_a^b K from a spline of K dtheta/du, theta = sin^2 u.
+def _spline_prefix(eval_fn: Callable, n_fine: int):
+    """Antiderivative of K from a spline of K dtheta/du, theta = sin^2 u.
 
     Returns the antiderivative A(u) on n_fine uniform u-panels and
-    cum(a, b) = A(u(b)) - A(u(a)).
+    prefix(theta) = A(u(theta)).
     """
     u_fine = np.linspace(0.0, np.pi / 2.0, n_fine + 1)
     w_fine = eval_fn(np.sin(u_fine) ** 2) * np.sin(2.0 * u_fine)
@@ -414,10 +420,7 @@ def _spline_cum(eval_fn: Callable, n_fine: int):
     def prefix(theta):
         return anti(_u_of_theta(theta))
 
-    def cum_fn(a, b):
-        return prefix(b) - prefix(a)
-
-    return anti, cum_fn
+    return anti, prefix
 
 
 def build_kernel_table(
@@ -433,8 +436,8 @@ def build_kernel_table(
     grid, so cum is exactly additive.  Off-grid probes against the adaptive
     scalar evaluator guard the interpolation error.
     """
-    if n_points < 256:
-        raise InvalidParameter(f"n_points must be >= 256, got {n_points}")
+    if not 256 <= n_points <= MAX_TABLE_POINTS:
+        raise InvalidParameter(f"n_points must lie in [256, {MAX_TABLE_POINTS}], got {n_points}")
     kc = k_coefficient(profile)
     u = np.linspace(0.0, np.pi / 2.0, n_points + 1)
     thetas = np.sin(u) ** 2
@@ -461,7 +464,7 @@ def build_kernel_table(
         w = np.clip((tt - (1.0 - _BLEND)) / _BLEND, 0.0, 1.0)
         return (1.0 - w) * base + w * kc * root
 
-    anti, cum_fn = _spline_cum(eval_fn, 4 * n_points)
+    anti, prefix = _spline_prefix(eval_fn, 4 * n_points)
     a0 = float(anti(0.0))
 
     gamma_c = gamma_const(profile, quad_tol)
@@ -474,7 +477,7 @@ def build_kernel_table(
     )
     kern = Kernel(
         eval=eval_fn,
-        cum=cum_fn,
+        prefix=prefix,
         gamma_const=gamma_c,
         sigma=0.5,
         k_coeff=kc,
@@ -523,10 +526,9 @@ def kernel_from_samples(
             return np.where(xx <= t_last, inside, tail)
         return inside
 
-    _, cum_fn = _spline_cum(eval_fn, 8192)
     return Kernel(
         eval=eval_fn,
-        cum=cum_fn,
+        prefix=_spline_prefix(eval_fn, 8192)[1],
         gamma_const=float(gamma_const_value),
         sigma=float(sigma),
         k_coeff=float(k_coeff),

@@ -76,23 +76,20 @@ def omega_eval(kern: Kernel, zeros, x):
     band n (past the last zero) this is exactly the continued solution with
     the band in its alternating state.
     """
-    z = list(zeros)
-    if z and z[0] != 0.0:
+    z = np.asarray(zeros, dtype=float)
+    if len(z) and z[0] != 0.0:
         raise InvalidParameter("zeros must start at 0")
     out = np.full_like(x, kern.gamma_const)
     pos = x > 0
-    if np.any(pos):
+    if np.any(pos) and len(z):
         xp = x[pos]
-        acc = np.zeros_like(xp)
-        for i, xi in enumerate(z):
-            live = xp > xi
-            if not np.any(live):
-                break
-            contrib = np.zeros_like(xp)
-            ratio = np.minimum(xi / xp[live], 1.0)
-            contrib[live] = xp[live] ** 2 * kern.cum(ratio, 1.0)
-            acc += (-1.0) ** i * contrib
-        out[pos] = kern.gamma_const - acc
+        # one prefix call; a zero at or past x has ratio 1, so its term is 0
+        ratio = np.minimum(z[:, None] / xp, 1.0)
+        a = kern.prefix(np.append(ratio, 1.0))
+        terms = xp**2 * (a[-1] - a[:-1].reshape(ratio.shape))
+        terms[1::2] *= -1.0
+        # summed in zero order: np.sum would pair the terms and round differently
+        out[pos] = kern.gamma_const - np.cumsum(terms, axis=0)[-1]
     return out
 
 

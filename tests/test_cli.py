@@ -3,6 +3,7 @@ import pytest
 
 from liesegang import rings
 from liesegang.cli import dispatch, load_kernel_file
+from liesegang.kernel import MAX_TABLE_POINTS
 
 
 def read_rows(path):
@@ -183,6 +184,12 @@ def test_rings_nan_tuning_flag_exits_two(tmp_path, capsys, flag):
         ["pde", "--smax", "inf"],
         ["pde", "--smax", "1e300"],
         ["pde", "--ds", "1e-300"],
+        ["extended", "--h", "1e-300"],
+        ["extended", "--b", "1e300"],
+        ["extended", "--mode", "regular", "--h", "1e-300"],
+        ["extended", "--mode", "regular", "--b", "1e300"],
+        ["kernel", "--table-points", str(MAX_TABLE_POINTS + 1)],
+        ["degenerate", "--table-points", str(MAX_TABLE_POINTS + 1)],
     ],
     ids="_".join,
 )

@@ -171,3 +171,6 @@ def test_regular_extension_needs_breakdown(synthetic):
     truncated = rings.solve_pattern(synthetic, max_zeros=2)
     with pytest.raises(InvalidParameter):
         extended.regular_extension_solve(synthetic, truncated, 5.0, 1e-3)
+    ringless = rings.RingPattern((0.0,), (), (), rings.Classification.DEGENERATE, 0.0, 0.5)
+    with pytest.raises(InvalidParameter, match="ring"):
+        extended.regular_extension_solve(synthetic, ringless, 5.0, 1e-3)

@@ -69,6 +69,30 @@ def test_synthetic_cum_additive(a, b, c):
     )
 
 
+def test_synthetic_cum_is_prefix_difference(synthetic):
+    ts = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(synthetic.cum(0.3, ts), synthetic.prefix(ts) - synthetic.prefix(0.3))
+
+
+def _file_kernel():
+    thetas = np.sin(np.linspace(0.0, np.pi / 2.0, 257)) ** 2
+    synth = kn.synthetic_kernel(0.5, 1.0)
+    return kn.kernel_from_samples(thetas, synth.eval(thetas), 0.5, 1.0, synth.gamma_const)
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "derived", "file", "degenerate"])
+def test_cum_scalar_calls_equal_array_call(request, kind):
+    # batching scalar cum calls into one array call must not change a bit
+    kern = {
+        "synthetic": lambda: kn.synthetic_kernel(0.3, 1.7),
+        "derived": lambda: request.getfixturevalue("model_kernel02")[1],
+        "file": _file_kernel,
+        "degenerate": lambda: request.getfixturevalue("construction").result,
+    }[kind]()
+    ts = np.random.default_rng(11).random(10_000)
+    assert np.array_equal(kern.cum(0.0, ts), [kern.cum(0.0, t) for t in ts])
+
+
 # ---------------------------------------------------------------------------
 # derived-kernel density and its three asymptotic laws
 

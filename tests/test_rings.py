@@ -52,6 +52,24 @@ def test_omega_past_first_zero(synthetic):
     assert rings.omega_eval(synthetic, [0.0, x1], x) == pytest.approx(expect, abs=1e-14)
 
 
+def test_omega_eval_matches_per_zero_sum(model_kernel02, model_pattern):
+    # the plain partial sum Gamma - sum_{x_i < x} (-1)^i x^2 cum(x_i/x, 1),
+    # one scalar cum per zero, in zero order
+    _, kern = model_kernel02
+    zeros = list(model_pattern.zeros)
+    xs = np.concatenate([[0.0, 0.5 * zeros[1]], np.linspace(0.0, 1.2 * model_pattern.x_star, 601)])
+    ref = []
+    for x in xs:
+        acc = 0.0
+        for i, xi in enumerate(zeros):
+            if xi < x:
+                acc += (-1.0) ** i * x * x * kern.cum(xi / x, 1.0)
+        ref.append(kern.gamma_const - acc)
+    assert np.array_equal(rings.omega_eval(kern, zeros, xs), ref)
+    assert rings.omega_eval(kern, zeros, 0.0) == kern.gamma_const
+    assert rings.omega_eval(kern, zeros, 0.5 * zeros[1]) == ref[1]
+
+
 def test_omega_requires_zero_prefix(synthetic):
     with pytest.raises(InvalidParameter):
         rings.omega_eval(synthetic, [1.0], 2.0)

@@ -54,3 +54,18 @@ def test_tracer_records_one_joint_march():
     marches = [s for s in tracer.spans if s[0] == nid]
     assert len(marches) == 1
     assert marches[0][5] == len(sol.grid) - 1
+
+
+def test_tracer_wraps_the_derived_cum():
+    # Kernel.cum is derived from prefix but stays a constructor argument, so
+    # the tracer's dataclasses.replace(kern, eval=..., cum=...) still works
+    untraced = kernel.synthetic_kernel(0.4, 1.3).cum(0.2, 0.9)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        traced = kernel.synthetic_kernel(0.4, 1.3).cum(0.2, 0.9)
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    nid = tracer.names.index("kernel.cum")
+    assert sum(1 for s in tracer.spans if s[0] == nid) == 1
