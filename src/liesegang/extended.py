@@ -13,8 +13,16 @@ quadrature as the certificate.
 
 The regular extension instead imposes omega = 0 past the breakdown point
 x* and solves the resulting first-kind problem for rho panel by panel; the
-newest panel's coefficient is the kernel mass of the (1 - h/x)-to-1 window,
-which is positive but degenerates like h^(1+sigma).
+newest panel's coefficient is the kernel mass of the (1/q)-to-1 window,
+which is positive but degenerates like (q - 1)^(1+sigma).
+
+Both march on geometric nodes x_k = x_0 q^k.  The integral is a Mellin
+convolution, so in theta = y/x_k panel i of node k is [q^-(m+1), q^-m] with
+m = k - 1 - i: every kernel mass and every certificate quadrature weight is
+a table over the offset m, made with one prefix or eval call (Hairer, Lubich
+& Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985; Vainikko, Numer. Funct.
+Anal. Optim. 30, 2009).  The history sums become one dot product per node,
+and each certificate one discrete convolution.
 """
 
 from __future__ import annotations
@@ -29,21 +37,97 @@ from .rings import Classification, RingPattern
 from .specfun import pointwise
 
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
+_GL4_S = 0.5 * (1.0 + _GL4_X)  # the 4-point nodes as fractions of their panel
 _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
 _ZERO = np.float64(0.0)  # 0/0 at a NaN argument gives NaN, as the array path does
 MAX_NODES = 10**6  # grid nodes or panels of one march, checked before allocating
+_THETA_FLOOR = 1e-6  # the first band's certificate panels are graded down to here
 
 
-def _end_panel(theta_lo: float):
-    """6-point Gauss rule on the degenerate panel [theta_lo, 1], theta = 1 - t^2.
+def _geometric_nodes(lo: float, b: float, h: float):
+    """Nodes lo q^k, k = 0..n, with q <= 1 + h/b chosen so that the last is
+    b: every step is at most h.  Returns (nodes, q); a single node lo = b
+    comes with q = 1 + h/b."""
+    steps, rate = np.log(b / lo), np.log1p(h / b)  # n = ceil(steps / rate)
+    if not steps <= MAX_NODES * rate:
+        raise InvalidParameter(
+            f"steps of at most h = {h:.3g} from {lo:.6g} to b = {b:.6g} exceed {MAX_NODES} nodes"
+        )
+    if steps == 0.0:
+        return np.array([lo]), 1.0 + h / b
+    n = int(np.ceil(steps / rate))
+    q = (b / lo) ** (1.0 / n)
+    return lo * q ** np.arange(n + 1.0), q
 
-    The sqrt-type kernel tail is polynomial in t.  Returns the theta nodes,
-    dtheta/dt at the nodes and the half-width of the t-interval, so that
-    int_theta_lo^1 f dtheta ~ half * sum(_GL6_W * f(theta) * jac).
+
+def _mass_table(kern: Kernel, q: float, n: int):
+    """Kernel masses of a geometric grid from one prefix call.
+
+    Returns c with c[m] = A(q^-m) - A(q^-(m+1)), m = 0..n-1, the mass of
+    panel i at node k being x_k^2 c[k-1-i]; and band with band[k-1] =
+    A(q^-k) - A(0), k = 1..n, the mass of [0, x_0] at node k.
     """
-    half = 0.5 * np.sqrt(max(1.0 - theta_lo, 0.0))
-    t = half + half * _GL6_X
-    return 1.0 - t * t, 2.0 * t, half
+    p = kern.prefix(np.append(q ** -np.arange(n + 1.0), 0.0))
+    return p[:-2] - p[1:-1], p[1:-1] - p[-1]
+
+
+def _panels(q: float, n: int, to_zero: bool = False):
+    """Lower edges and widths, in theta, of the certificate's panels below
+    the end panel [1/q, 1]: panel m = 1..n is [q^-(m+1), q^-m].
+
+    With to_zero the panels go on to 0 through the first band, where rho = 1
+    and the panels need only be accurate: each is 1/16 of its distance to
+    theta = 1 wide in log theta (at least log q), down to _THETA_FLOOR, and
+    one more reaches 0.  Their number grows like log(1/(q - 1)), not 1/(q - 1).
+    """
+    lo = q ** -np.arange(2.0, n + 2.0)
+    width = (q - 1.0) * lo
+    if to_zero:
+        u = [(n + 1.0) * np.log(q)]  # -log theta of the next edge down
+        while u[-1] < -np.log(_THETA_FLOOR):
+            u.append(u[-1] + max(np.log(q), u[-1] / 16.0))
+        edges = np.append(np.exp(-np.array(u)), 0.0)
+        lo = np.append(lo, edges[1:])
+        width = np.append(width, edges[:-1] - edges[1:])
+    return lo, width
+
+
+def _gauss_table(kern: Kernel, q: float, lo, width):
+    """Certificate weights on the panels [lo, lo + width], one eval call.
+
+    Row g, column j is panel j's 4-point Gauss weight times K at its node g,
+    which sits at the fixed fraction _GL4_S[g] of the panel.  The end panel
+    [1/q, 1] takes the 6-point rule in theta = 1 - t^2, where a sqrt-type
+    kernel tail is polynomial; its weights come with the nodes' fractions
+    (theta q - 1)/(q - 1) of the newest grid panel, for interpolating rho.
+    """
+    half_t = 0.5 * np.sqrt(1.0 - 1.0 / q)
+    t = half_t * (1.0 + _GL6_X)
+    theta_end = 1.0 - t * t
+    k = kern.eval(np.concatenate([theta_end, (lo + width * _GL4_S[:, None]).ravel()]))
+    end = half_t * _GL6_W * 2.0 * t * k[:6]
+    table = 0.5 * _GL4_W[:, None] * width * k[6:].reshape(4, len(lo))
+    return table, end, (theta_end * q - 1.0) / (q - 1.0)
+
+
+def _convolve(a, b):
+    """c[j] = sum_(i <= j) a[i] b[j - i] for j < len(a) = len(b), by FFT."""
+    if len(a) == 0:
+        return np.zeros(0)
+    size = 1 << (2 * len(a) - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[: len(a)]
+
+
+def _suffix_sums(values):
+    """out[k] = sum(values[k:]), accumulated within blocks of 256 and then
+    over the block totals, so the rounding grows with the block size and
+    the block count, not with len(values)."""
+    rows = -(-len(values) // 256)
+    padded = np.zeros(rows * 256)
+    padded[: len(values)] = values
+    within = np.cumsum(padded.reshape(rows, 256)[:, ::-1], axis=1)[:, ::-1]
+    later = np.append(np.cumsum(within[:0:-1, 0])[::-1], 0.0)
+    return (within + later[:, None]).ravel()[: len(values)]
 
 
 @dataclass(frozen=True)
@@ -79,41 +163,82 @@ class ExtendedSolution:
     epsilon_trace: tuple  # rows (epsilon, sup-change to previous level)
 
 
-def mollified_solve(kern: Kernel, mollifiers, b: float, h: float):
-    """March the mollified equation on a uniform grid over [0, b], one row
-    of omega per mollifier.
+@dataclass(frozen=True)
+class _RelayGrid:
+    """Output nodes of a mollified march: the first band's nodes, step at
+    most h, then geometric nodes x0 q^k from grid[first] = x0 to b."""
 
-    Product integration: rho-factor piecewise linear (trapezoidal weights),
-    kernel mass per panel exact through prefix, so the degenerate last panel
-    carries its true h^(1+sigma) weight.  The masses do not depend on the
-    mollifier, so every level is marched in the same pass over the nodes,
-    each with its own sums.  The implicit last-node value is resolved by
-    Picard iteration, which contracts because that weight is small.
+    grid: np.ndarray
+    first: int
+    q: float
+    mass: float  # int_0^1 K: on [0, x0], omega = Gamma - x^2 mass
+
+
+def _relay_grid(kern: Kernel, mollifiers, b: float, h: float) -> _RelayGrid:
+    """Check the march's inputs and lay out its nodes.
+
+    While omega >= epsilon the ramp is exactly 1, so up to the first zero
+    omega is the closed form Gamma - x^2 int_0^1 K.  The first band ends at
+    x0, where that closed form falls to max(Gamma/16, min(2 eps,
+    (Gamma + eps)/2)) for the widest ramp eps: above eps with a margin, and
+    the same x0 for every schedule whose eps stays below Gamma/32.
     """
-    mollifiers = list(mollifiers)
     if not (0.0 < b < np.inf and h > 0.0):
         raise InvalidParameter("b and h must be positive and b finite")
-    if not b / h <= MAX_NODES:
-        raise InvalidParameter(f"b/h = {b / h:.3g} exceeds {MAX_NODES} grid nodes")
     if not mollifiers:
         raise InvalidParameter("need at least one mollifier")
     if any(h > m.epsilon / 4.0 for m in mollifiers):
         raise InvalidParameter("need h <= epsilon/4 to resolve the relay ramp")
-    n = int(round(b / h))
-    x = h * np.arange(n + 1)
     gamma = kern.gamma_const
-    omegas = np.empty((len(mollifiers), n + 1))
-    omegas[:, 0] = gamma
-    # per level: trapezoid means 0.5 (phi[i] + phi[i+1]) of phi = H_eps(omega),
-    # and phi at the newest node
-    means = np.empty((len(mollifiers), n))
-    phi_last = [m.ramp(gamma) for m in mollifiers]
+    eps = max(m.epsilon for m in mollifiers)
+    if not eps < gamma:
+        raise InvalidParameter(
+            f"epsilon {eps:.6g} must be below Gamma = {gamma:.6g}, or the relay has no first band"
+        )
+    mass = float(kern.cum(0.0, 1.0))
+    x0 = min(np.sqrt((gamma - max(gamma / 16.0, min(2.0 * eps, 0.5 * (gamma + eps)))) / mass), b)
+    if any(m.ramp(gamma - x0 * x0 * mass) != 1.0 for m in mollifiers):
+        raise InvalidParameter(f"the ramp is not saturated at the first band's end x0 = {x0:.6g}")
+    if not x0 <= MAX_NODES * h:
+        raise InvalidParameter(f"the first band [0, {x0:.6g}] needs over {MAX_NODES} steps of h")
+    nodes, q = _geometric_nodes(x0, b, h)
+    band = np.linspace(0.0, x0, int(np.ceil(x0 / h)) + 1)[:-1]
+    return _RelayGrid(np.concatenate([band, nodes]), len(band), q, mass)
+
+
+def mollified_solve(kern: Kernel, mollifiers, b: float, h: float):
+    """March the mollified equation over [0, b], one row of omega per
+    mollifier; returns (grid, omegas).
+
+    The first band [0, x0] is the closed form (see _relay_grid), sampled at
+    steps of at most h.  Past x0 the nodes are geometric with steps of at
+    most h.  Product integration: rho-factor piecewise linear (trapezoidal
+    weights), kernel mass per panel exact through prefix, so the degenerate
+    last panel carries its true (q - 1)^(1+sigma) weight.  The masses of node
+    k are x_k^2 c_(k-1-i) for one table c_m = A(q^-m) - A(q^-(m+1)), and the
+    band adds x_k^2 (A(q^-k) - A(0)).  They do not depend on the mollifier,
+    so every level is marched in the same pass over the nodes, each with its
+    own sums.  The implicit last-node value is resolved by Picard iteration,
+    which contracts because that weight is small.
+    """
+    mollifiers = list(mollifiers)
+    layout = _relay_grid(kern, mollifiers, b, h)
+    gamma, q, x = kern.gamma_const, layout.q, layout.grid[layout.first :]
+    n = len(x) - 1
+    omegas = np.empty((len(mollifiers), len(layout.grid)))
+    omegas[:, : layout.first + 1] = gamma - layout.grid[: layout.first + 1] ** 2 * layout.mass
+    c, band = _mass_table(kern, q, n)
+    c_rev = c[::-1].copy()  # c_m at index n - 1 - m
+    # per level: trapezoid means 0.5 (phi[i] + phi[i+1]) of phi = H_eps(omega)
+    # on the geometric panels, and phi at the newest node
+    means = np.zeros((len(mollifiers), n))
+    phi_last = [1.0] * len(mollifiers)
     for k in range(1, n + 1):
         xk = x[k]
-        masses = xk * xk * np.diff(kern.prefix(x[: k + 1] / xk))
-        c_last = float(masses[k - 1])
+        weights = c_rev[n - k : n - 1]
+        c_last = xk * xk * c_rev[-1]
         for j, moll in enumerate(mollifiers):
-            known = float(np.dot(means[j, : k - 1], masses[: k - 1]))
+            known = xk * xk * (band[k - 1] + float(np.dot(means[j, : k - 1], weights)))
             phi_prev = phi_k = phi_last[j]
             om_prev = None
             for it in range(60):
@@ -124,10 +249,31 @@ def mollified_solve(kern: Kernel, mollifiers, b: float, h: float):
                 om_prev = om
             else:
                 raise PicardStall(f"node {k} did not contract (h too large for epsilon?)")
-            omegas[j, k] = om
+            omegas[j, layout.first + k] = om
             means[j, k - 1] = 0.5 * (phi_prev + phi_k)
             phi_last[j] = phi_k
-    return x, omegas
+    return layout.grid, omegas
+
+
+def _relay_integral(kern: Kernel, layout: _RelayGrid, rho):
+    """int_0^1 K(theta) rho(x theta) dtheta at every node, rho interpolated
+    linearly: 4-point Gauss on each geometric panel and on panels through
+    the first band (where rho = 1) down to 0 (see _panels); the end panel
+    [1/q, 1] by the theta = 1 - t^2 rule.  Every weight depends on the panel
+    offset alone, so the panel sums are two convolutions and the first
+    band's part is a suffix sum.
+    """
+    r = rho[layout.first :]
+    n = len(r) - 1
+    table, end, frac = _gauss_table(kern, layout.q, *_panels(layout.q, n, to_zero=True))
+    left, right = (1.0 - _GL4_S) @ table, _GL4_S @ table  # weights of rho at panel ends
+    band = _suffix_sums(left + right)  # band[k - 1]: the panels m >= k, all with rho = 1
+    end_lo, end_hi = float(np.sum(end * (1.0 - frac))), float(np.sum(end * frac))
+    total = np.full(len(rho), end_lo + end_hi + band[0])  # rho = 1 on the first band
+    total[layout.first + 1 :] = end_lo * r[:-1] + end_hi * r[1:] + band[:n]
+    total[layout.first + 2 :] += _convolve(r[: n - 1], left[: n - 1])
+    total[layout.first + 2 :] += _convolve(r[1:n], right[: n - 1])
+    return total
 
 
 def extended_solve(kern: Kernel, b: float, h: float, eps_sequence) -> ExtendedSolution:
@@ -135,10 +281,7 @@ def extended_solve(kern: Kernel, b: float, h: float, eps_sequence) -> ExtendedSo
 
     omega is the last level, rho its ramp image; the reported residual is
     the sup-norm defect of the relay equation on the grid, recomputed with
-    an independent quadrature: composite 4-point Gauss per grid panel with
-    K evaluated pointwise and rho interpolated linearly, the nodes and the
-    rho-weights laid out once in y-space; the degenerate final panel is
-    mapped by theta = 1 - t^2, where the sqrt-type kernel tail is polynomial.
+    an independent quadrature of K on eval (_relay_integral), never prefix.
     """
     eps_sequence = list(eps_sequence)
     if not eps_sequence or any(
@@ -150,18 +293,8 @@ def extended_solve(kern: Kernel, b: float, h: float, eps_sequence) -> ExtendedSo
     changes = [np.nan] + [float(np.max(np.abs(o2 - o1))) for o1, o2 in zip(omegas, omegas[1:])]
     omega = omegas[-1]
     rho = mollifiers[-1](omega)
-    half = 0.5 * (grid[1:] - grid[:-1])
-    mid = 0.5 * (grid[1:] + grid[:-1])
-    node_y = (mid[:, None] + half[:, None] * _GL4_X[None, :]).ravel()
-    node_wr = (half[:, None] * _GL4_W[None, :]).ravel() * np.interp(node_y, grid, rho)
-    local = np.zeros(len(grid))
-    for k in range(1, len(grid)):
-        x = grid[k]
-        total = float(np.dot(node_wr[: 4 * (k - 1)], kern.eval(node_y[: 4 * (k - 1)] / x))) / x
-        th, jac, half_t = _end_panel(grid[k - 1] / x)
-        rv = np.interp(th * x, grid[: k + 1], rho[: k + 1])
-        total += float(np.sum(_GL6_W * kern.eval(th) * rv * jac) * half_t)
-        local[k] = abs(float(omega[k] - kern.gamma_const + x * x * total))
+    integral = _relay_integral(kern, _relay_grid(kern, mollifiers, b, h), rho)
+    local = np.abs(omega - kern.gamma_const + grid * grid * integral)
     return ExtendedSolution(
         grid=grid,
         omega=omega,
@@ -186,9 +319,11 @@ def regular_extension_solve(
 ) -> RegularExtension:
     """Impose omega = 0 on (x*, b] and solve the first-kind equation for rho.
 
-    Piecewise-constant rho per panel, marched by collocation at panel right
-    edges: the newest panel coefficient x^2 int_(panel) K(y/x) dy/x is
-    positive, so each step is a scalar division.
+    Piecewise-constant rho per panel between edges x* q^j (steps at most h),
+    marched by collocation at panel right edges: the newest panel
+    coefficient x_j^2 c_0 is positive, so each step is a scalar division.
+    The other panels' masses are x_j^2 c_(j-1-i) from one table, as in
+    mollified_solve.
     """
     history = pattern.precipitated()
     if not history or pattern.classification not in (
@@ -199,58 +334,46 @@ def regular_extension_solve(
     x_star = pattern.x_star
     if not (h > 0.0 and x_star + h < b < np.inf):
         raise InvalidParameter("need h > 0 and finite b exceeding x* by at least one panel")
-    if not (b - x_star) / h <= MAX_NODES:
-        raise InvalidParameter(f"(b - x*)/h exceeds {MAX_NODES} panels")
+    edges, q = _geometric_nodes(x_star, b, h)
+    x = edges[1:]
+    n = len(x)
     gamma = kern.gamma_const
-    m = int(np.floor((b - x_star) / h))
-    edges = x_star + h * np.arange(m + 1)
+    c_rev = _mass_table(kern, q, n)[0][::-1].copy()  # c_m at index n - 1 - m
+    if x[0] * x[0] * c_rev[-1] < 1e3 * np.finfo(float).eps * max(gamma, 1.0):
+        raise SingularPanel(f"panel 1 coefficient {x[0] * x[0] * c_rev[-1]:.2e} too small")
     ring_lo, ring_hi = np.transpose(history)
-    rho = np.empty(m)
-    for j in range(1, m + 1):
-        x = edges[j]
-        # summed in ring order, as np.cumsum does (np.sum would pair the terms)
-        hist = x * x * float(np.cumsum(kern.cum(ring_lo / x, ring_hi / x))[-1])
-        masses = x * x * np.diff(kern.prefix(np.append(edges[:j] / x, 1.0)))
-        prev = float(np.dot(rho[: j - 1], masses[:-1]))
-        coeff = float(masses[-1])
-        if coeff < 1e3 * np.finfo(float).eps * max(gamma, 1.0):
-            raise SingularPanel(f"panel {j} coefficient {coeff:.2e} too small")
-        rho[j - 1] = (gamma - hist - prev) / coeff
+    # one row per ring, summed in ring order, as np.cumsum does (np.sum
+    # would pair the terms)
+    hist = x * x * np.cumsum(kern.cum(ring_lo[:, None] / x, ring_hi[:, None] / x), axis=0)[-1]
+    rho = np.empty(n)
+    for j in range(1, n + 1):
+        x2 = x[j - 1] * x[j - 1]
+        prev = float(np.dot(rho[: j - 1], c_rev[n - j : n - 1]))
+        rho[j - 1] = (gamma - hist[j - 1] - x2 * prev) / (x2 * c_rev[-1])
 
     # independent residual: rho is piecewise constant between known
     # discontinuities (ring boundaries, then panel edges), so integrate
-    # K(theta) piece by piece with Gauss rules on the exact partition
-    pieces = [(lo, hi, 1.0) for lo, hi in history if hi > lo]  # (y_lo, y_hi, rho)
-    for j in range(m):
-        pieces.append((float(edges[j]), float(edges[j + 1]), float(rho[j])))
-
-    # composite Gauss nodes are laid out once in y-space (sub-panels narrow
-    # enough for every collocation point); the piece adjoining theta = 1 is
-    # re-mapped per point since it is the one that degenerates
-    node_y, node_w = [], []
-    for lo, hi, val in pieces[:-1]:
-        if val == 0.0:
+    # K(theta) piece by piece with Gauss rules on the exact partition; the
+    # rings' composite nodes are laid out once in y-space (sub-panels of at
+    # most 0.04 x*), the panels' through _gauss_table
+    integral = np.zeros(n)
+    for lo, hi in history:
+        if hi <= lo:
             continue
-        n_sub = max(1, int(np.ceil((hi - lo) / (0.04 * x_star))))
-        sub = np.linspace(lo, hi, n_sub + 1)
+        sub = np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / (0.04 * x_star)))) + 1)
         half = 0.5 * (sub[1:] - sub[:-1])
         mid = 0.5 * (sub[1:] + sub[:-1])
-        node_y.append((mid[:, None] + half[:, None] * _GL4_X[None, :]).ravel())
-        node_w.append((val * half[:, None] * _GL4_W[None, :]).ravel())
-    node_y = np.concatenate(node_y) if node_y else np.empty(0)
-    node_w = np.concatenate(node_w) if node_w else np.empty(0)
-
-    local = np.zeros(m)
-    for j in range(1, m + 1):
-        x = edges[j]
-        live = np.searchsorted(node_y, edges[j - 1])  # node_y is sorted
-        total = float(np.dot(node_w[:live], kern.eval(node_y[:live] / x))) / x
-        # newest panel [edges[j-1], x] adjoins theta = 1
-        th, jac, half = _end_panel(edges[j - 1] / x)
-        total += rho[j - 1] * half * float(np.dot(_GL6_W, kern.eval(th) * jac))
-        local[j - 1] = abs(float(gamma - x * x * total))
+        node_y = (mid[:, None] + half[:, None] * _GL4_X).ravel()
+        node_w = (half[:, None] * _GL4_W).ravel()
+        for y, w in zip(node_y, node_w):
+            integral += w * kern.eval(y / x)
+    integral /= x
+    table, end, _ = _gauss_table(kern, q, *_panels(q, n - 1))
+    integral += float(np.sum(end)) * rho
+    integral[1:] += _convolve(rho[:-1], table.sum(axis=0))
+    local = np.abs(gamma - x * x * integral)
     out = tuple(int(i) for i in np.nonzero((rho < -1e-6) | (rho > 1.0 + 1e-6))[0])
     return RegularExtension(
-        grid=edges[1:], rho=rho, residual=float(np.max(local)),
+        grid=x, rho=rho, residual=float(np.max(local)),
         residual_local=local, out_of_range=out,
     )

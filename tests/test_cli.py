@@ -146,6 +146,16 @@ def test_extended_malformed_eps_exits_two(tmp_path, capsys, eps):
     )
 
 
+def test_extended_eps_not_below_gamma_exits_two(tmp_path, capsys):
+    # sigma 0.5: Gamma = 2/3, so a ramp of half-width 0.7 leaves no first band
+    err = assert_input_error(
+        ["extended", "--sigma", "0.5", "--eps", "0.7", "--out", str(tmp_path / "e.csv")],
+        capsys,
+    )
+    assert "Gamma" in err
+    assert not (tmp_path / "e.csv").exists()
+
+
 @pytest.mark.parametrize("mode", ["mollified", "regular"])
 def test_extended_nan_b_exits_two(tmp_path, capsys, mode):
     assert_input_error(
