@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from liesegang import kernel as kn
 from liesegang.errors import InvalidParameter, SingularAtZero
-from liesegang.profile import ModelParams, phi_eval, psi_at_source, solve_kappa
+from liesegang.profile import (
+    ModelParams, check_solvability, phi_eval, psi_at_source, solve_kappa,
+)
 
 
 def raw_gauss_jacobi_g(profile, theta, tol=1e-10):
@@ -165,11 +169,65 @@ def test_k_dual_route(profile015):
     assert abs(raw - sub) < 1e-7
 
 
-def test_grid_matches_scalar(profile02):
-    thetas = np.array([-0.9, -0.3, -1e-4, 1e-4, 0.4, 0.9, 0.9999])
-    grid = kn._g_grid(profile02, thetas)
-    for th, g in zip(thetas, grid):
-        assert g == pytest.approx(kn.g_eval(profile02, float(th), 1e-11), rel=1e-10)
+# kappa = 46: above kernel._GEO_KAPPA, so _g_grid splits its panels
+LARGE_KAPPA_PARAMS = (2.78, 2.171, 0.172)
+
+
+@pytest.fixture(scope="module")
+def profile_large_kappa():
+    return solve_kappa(ModelParams(*LARGE_KAPPA_PARAMS))
+
+
+def _table_thetas(n_points=2048):
+    return np.sin(np.linspace(0.0, np.pi / 2.0, n_points + 1)) ** 2
+
+
+def test_grid_matches_scalar(profile01, profile015, profile02, profile_large_kappa):
+    # the ends of the gamma_const mesh (1e-10), both ends of [-1, 1] and
+    # points beyond the v_min > 700 cut, where both evaluators give 0
+    sweep = np.array([
+        -(1.0 - 1e-12), -0.9995, -0.9, -0.3, -1e-4, -1e-10,
+        1e-10, 1e-4, 0.4, 0.9, 0.9999, 0.999999, 1.0 - 1e-12,
+    ])
+    assert profile_large_kappa.kappa > kn._GEO_KAPPA
+    for prof in (profile01, profile015, profile02, profile_large_kappa):
+        grid = kn._g_grid(prof, sweep)
+        for th, g in zip(sweep, grid):
+            direct = kn.g_eval(prof, float(th), 1e-11)
+            if direct == 0.0:
+                assert g == 0.0
+            else:
+                assert g == pytest.approx(direct, rel=1e-10)
+        assert np.array_equal(kn._g_grid(prof, [-1.0, 0.0, 1.0]), np.zeros(3))
+        # -0.9995 lies past the cut for every alpha >= 1
+        assert kn._v_min(prof.params.alpha, -0.9995) > 700.0
+
+
+@pytest.mark.parametrize("which", ["profile02", "profile_large_kappa"])
+def test_grid_point_alone_equals_table_call(request, which):
+    # a point's G does not depend on its neighbours in the ragged panel
+    # list or on where the blocks split
+    prof = request.getfixturevalue(which)
+    thetas = _table_thetas()
+    # every point at kappa 1.77; every 7th at kappa 46, with six times the panels
+    stride = 1 if which == "profile02" else 7
+    for sign in (1.0, -1.0):
+        together = kn._g_grid(prof, sign * thetas)[::stride]
+        alone = [kn._g_grid(prof, sign * thetas[i:i + 1])[0] for i in range(0, len(thetas), stride)]
+        assert np.array_equal(alone, together)
+
+
+def test_grid_memory_peak(profile02):
+    # the blocks bound _g_grid's working set on a table-sized call
+    thetas = _table_thetas()
+    kn._g_grid(profile02, thetas)
+    tracemalloc.start()
+    try:
+        kn._g_grid(profile02, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +270,34 @@ def test_gamma_const_graded_vs_cutoff_extrapolation(profile02):
         (1.3, 1.0, 0.2),
         (1.0, 0.7, 0.12),
         (1.0, 1.5, 0.25),
+        LARGE_KAPPA_PARAMS,
     ],
 )
 def test_gamma_const_positive_and_matches_source_identity(alpha, beta, u_star):
     # the precipitation-free self-similar solution gives the exact identity
-    # Gamma = Psi(alpha) - u*; the points put kappa on both sides of 2
+    # Gamma = Psi(alpha) - u*; the points put kappa on both sides of 2,
+    # and the last at 46
     prof = solve_kappa(ModelParams(alpha, beta, u_star))
     gam = kn.gamma_const(prof, 1e-9)
     assert gam > 0
     assert gam == pytest.approx(psi_at_source(prof.params) - u_star, abs=1e-8)
+
+
+# each example builds a table and its Gamma (0.1-0.4 s, over 1 s at large
+# kappa), so a failure is reported as drawn, without minutes of shrinking
+@settings(max_examples=12, deadline=None, derandomize=True, phases=(Phase.generate,))
+@given(
+    st.floats(min_value=0.5, max_value=3.0),
+    st.floats(min_value=0.3, max_value=3.0),
+    st.floats(min_value=0.01, max_value=1.0),
+)
+def test_gamma_identity_on_solvable_parameters(alpha, beta, u_star):
+    params = ModelParams(alpha, beta, u_star)
+    assume(check_solvability(params).solvable)
+    prof = solve_kappa(params)
+    # the benchmark's bound; the table's off-grid probes must pass too
+    _, kern = kn.build_kernel_table(prof, 256)
+    assert abs(kern.gamma_const - (psi_at_source(params) - u_star)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from liesegang.errors import InvalidParameter
-from liesegang.specfun import erfc, kummer_m
+from liesegang.specfun import erfc, kummer_m, kummer_series
 
 REL_TOL = 1e-15
 
@@ -150,3 +150,47 @@ def test_vectorized_matches_scalar():
     assert vec == pytest.approx([kummer_m(1.3, 2.4, z) for z in zs], rel=1e-14)
     xs = np.array([-1.0, 0.3, 2.5])
     assert erfc(xs) == pytest.approx([erfc(x) for x in xs], rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# kummer_series: the derived kernel's M(kappa/2, kappa + 1/2, -zeta^2/4),
+# zeta <= alpha, so |z| <= alpha^2/4 (49 at alpha = 14)
+
+SERIES_KAPPAS = (1.0001, 1.77, 4.3, 20.0, 50.0)
+SERIES_ALPHAS = (0.8, 1.3, 3.0, 7.0, 10.0, 14.0)
+
+
+@pytest.mark.parametrize("kappa", SERIES_KAPPAS)
+def test_kummer_series_matches_hyp1f1_and_exact_series(kappa):
+    a, b = kappa / 2.0, kappa + 0.5
+    for alpha in SERIES_ALPHAS:
+        z_max = alpha * alpha / 4.0
+        series = kummer_series(a, b, z_max)
+        z = -np.linspace(0.0, z_max, 33)
+        got = series(z)
+        # hyp1f1 itself drifts to ~1e-14 past alpha = 7 (against 40-digit
+        # mpmath), so it is the oracle there only up to alpha = 7
+        if alpha <= 7.0:
+            np.testing.assert_allclose(got, kummer_m(a, b, z), rtol=4e-15, atol=0.0)
+        for zz, g in zip(z[16::16], got[16::16]):
+            # the exact terms fall below 1e-20 of the sum by n = 30 + 4|z|
+            exact = kummer_rational(a, b, float(zz), n_terms=int(30 - 4 * zz))
+            assert g == pytest.approx(exact, rel=4e-15, abs=0.0)
+
+
+def test_kummer_series_identities():
+    for a in (0.5, 2.15, 25.0):
+        series = kummer_series(a, a, 40.0)
+        z = -np.linspace(0.0, 40.0, 101)
+        assert np.array_equal(series(z), np.exp(z))  # M(a, a, z) = e^z
+        assert kummer_series(a, 2.0 * a + 0.5, 12.5)(0.0) == 1.0
+
+
+def test_kummer_series_domain_checks():
+    with pytest.raises(InvalidParameter):
+        kummer_series(1.0, 2.0, 50.5)
+    with pytest.raises(InvalidParameter):
+        kummer_series(1.0, 2.0, np.nan)
+    with pytest.raises(InvalidParameter):
+        kummer_series(1.0, -2.0, 1.0)
+    kummer_series(1.0, 2.0, 50.0)  # the cap itself is allowed, as in kummer_m
