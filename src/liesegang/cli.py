@@ -10,7 +10,9 @@ produce byte-identical files.  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -37,9 +39,32 @@ def emit_csv(path: str, meta: dict, header, rows, trailer: dict | None = None) -
     text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
+    elif os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:  # a device or pipe, such as /dev/null, is not replaced
             fh.write(text)
+    else:
+        _replace_file(path, text)
+
+
+def _replace_file(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path,
+    so a failed write leaves no partial file and any old file untouched."""
+    target = os.path.realpath(path)  # through a symlink, not over it
+    try:
+        mode = os.stat(target).st_mode & 0o7777  # an old file keeps its mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask  # the mode open(path, "w") gives a new file
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".liesegang-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, mode)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:

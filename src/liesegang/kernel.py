@@ -24,6 +24,16 @@ which is smooth on the whole integration range.  Asymptotics:
 near theta = 0.  K inherits K(0) = K'(0) = 0 and K ~ k sqrt(1-theta) with
 k = sqrt(2/pi) u*/alpha.
 
+G has two evaluators.  g_eval is adaptive (QUADPACK, hyp1f1) and serves
+scalar probes.  _g_grid, behind k_grid, gamma_const and the tables, uses
+fixed 16-point Gauss panels in v: geometric ones of ratio <= 4 from v_min
+up to v = 1, then 6 panels that widen with v up to the e^-46 truncation;
+above kappa = 8 the v^(-kappa/2) fall near v_min gets ceil(kappa/8) times
+the panels.  The two agree to 2e-14 relative below kappa = 8 and to
+1.5e-13 at kappa = 46, where g_eval's own tolerance dominates.
+gamma_const estimates its error from a coarse level that is coarser in
+theta and in v.
+
 The module also hosts the generic Kernel container used by the ring-pattern,
 degenerate-construction and extended-solution solvers: a synthetic power-law
 family with closed-form integrals, cached tables of the derived kernel, and
@@ -47,8 +57,11 @@ from .specfun import SQRT_PI, kummer_m, kummer_series, pointwise
 SIGMA_MAX = float(np.log2(3.0) - 1.0)  # admissible degeneracy exponents (0, log2 3 - 1)
 _V_CUT = 46.0  # e^-46 ~ 1e-20: exponential tail truncation
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_GEO_KAPPA = 8.0  # above this kappa, _g_grid splits each of its panels
-_N_LIN = 23  # linear panels of width 2 from v = 1 (or v_min) to the truncation
+_GEO_KAPPA = 8.0  # above this kappa, _g_grid splits the panels of the v^(-kappa/2) fall
+# v-layout of _g_grid: the largest ratio of the geometric panels below v = 1,
+# and the offsets from v = 1 (or v_min) of the graded exponential panels
+_V_LAYOUT = (4.0, (0.0, 1.0, 3.0, 7.0, 15.0, 31.0, _V_CUT))
+_V_LAYOUT_COARSE = (4.0, (0.0, 3.0, 15.0, _V_CUT))  # gamma_const's coarse level
 _BLOCK_PANELS = 512  # _g_grid evaluates about this many panels (8192 nodes) at a time
 QUAD_TOL_MIN = 50.0 * float(np.finfo(float).eps)  # QUADPACK's floor on epsrel
 MAX_TABLE_POINTS = 1 << 16  # cap on table/export sizes, checked before allocating
@@ -248,16 +261,23 @@ def g_eval(profile: Profile, theta: float, quad_tol: float = 1e-10) -> float:
     return float(pref * 0.5 * val)
 
 
-def _g_grid(profile: Profile, thetas) -> np.ndarray:
+def _g_grid(profile: Profile, thetas, layout=_V_LAYOUT) -> np.ndarray:
     """Vectorized G on an array of thetas via fixed composite Gauss panels.
 
-    Each point gets m geometric panels (ratio <= 4) from v_min up to
-    v = 1, then linear panels of width 2 over the exponential range up to
-    the e^-46 truncation; 16-point Gauss-Legendre per panel.  Near v_min
-    the integrand falls like v^(-kappa/2), so above kappa = _GEO_KAPPA
-    every panel is split into ceil(kappa/_GEO_KAPPA), which bounds its
-    fall over one panel.  Relative accuracy ~1e-12, uniform in theta and
-    up to kappa = 50.
+    The v-layout is (geo_max, offsets), _V_LAYOUT unless gamma_const
+    passes its coarse one.  Each point gets m geometric panels of ratio
+    <= geo_max from v_min up to v = 1, then graded panels with edges
+    base + offsets up to the e^-46 truncation (base = 1, or v_min when
+    v_min >= 1); 16-point Gauss-Legendre per panel.  Over the exponential
+    range the integrand is e^-v times a function analytic at distance
+    >= 1 from each panel, so the panels may widen with v: the 6 fine ones
+    have widths 1, 2, 4, 8, 16, 15.  Near v_min the integrand falls like
+    v^(-kappa/2); above kappa = _GEO_KAPPA that fall is split into
+    ceil(kappa/_GEO_KAPPA) panels, both on the geometric range and on the
+    first graded panel (where it lies when v_min is near or above 1).
+    The fine layout agrees with a layout of ratio 1.5 and width 1/4 to
+    1e-14 relative up to kappa = 46, and with g_eval to the latter's
+    tolerance.
     The panels of all points form one ragged list, evaluated in blocks of
     about _BLOCK_PANELS panels that split only between points; each
     point's panel sums are added in panel order by np.bincount.
@@ -284,16 +304,17 @@ def _g_grid(profile: Profile, thetas) -> np.ndarray:
     athe = alpha * np.abs(tt)
     kummer = kummer_series(k / 2.0, k + 0.5, alpha * alpha / 4.0)
 
-    # edges of point i: vm ratio^j for j <= m, then 1 + width (j - m);
-    # with m = 0 (vm >= 1) the linear panels start at vm itself
+    # edges of point i: vm ratio^j for j <= m, then base + offsets[j - m];
+    # with m = 0 (vm >= 1) the graded panels start at vm itself
+    geo_max, offsets = layout
     split = max(1, int(np.ceil(k / _GEO_KAPPA)))
-    width = 2.0 / split
+    offsets = np.concatenate((np.linspace(offsets[0], offsets[1], split + 1), offsets[2:]))
     m = np.zeros(tt.shape, dtype=int)
     small = vm < 1.0
-    m[small] = split * np.maximum(1, np.ceil(np.log(1.0 / vm[small]) / np.log(4.0)).astype(int))
+    m[small] = split * np.maximum(1, np.ceil(np.log(1.0 / vm[small]) / np.log(geo_max)).astype(int))
     ratio = np.where(small, (1.0 / vm) ** (1.0 / np.maximum(m, 1)), 1.0)
     base = np.where(small, 1.0, vm)
-    n_panels = m + split * _N_LIN
+    n_panels = m + offsets.size - 1
     first = np.concatenate(([0], np.cumsum(n_panels)))
 
     res = np.empty(tt.shape)
@@ -304,7 +325,8 @@ def _g_grid(profile: Profile, thetas) -> np.ndarray:
         mp, vp, rp, bp = m[point], vm[point], ratio[point], base[point]
 
         def edge(jj):
-            return np.where(jj <= mp, vp * rp ** np.minimum(jj, mp), bp + width * (jj - mp))
+            return np.where(jj <= mp, vp * rp ** np.minimum(jj, mp),
+                            bp + offsets[np.maximum(jj - mp, 0)])
 
         a_e = edge(j)
         b_e = edge(j + 1)
@@ -361,8 +383,11 @@ def gamma_const(profile: Profile, quad_tol: float = 1e-9) -> float:
     Graded geometric mesh toward theta = 0 down to 1e-10, then the
     integrable small-theta asymptote (power law, or log at kappa = 2)
     integrated in closed form with its coefficient measured at the
-    matching point.  Refinement with doubled panel density provides the
-    error estimate.
+    matching point.  The error estimate is the gap to a coarse level with
+    half the theta panels and _g_grid's coarse v-layout (3 graded panels
+    instead of 6), so it sees the v-quadrature too.  The coarse level keeps
+    the geometric ratio 4: at ratio 4.5 the gap already reaches 1.2e-12
+    near kappa = 8, above the 1e-12 floor of the tolerance.
     """
     if not QUAD_TOL_MIN <= quad_tol <= 1e-6:
         raise InvalidParameter(f"quad_tol must lie in [{QUAD_TOL_MIN:.3g}, 1e-6], got {quad_tol}")
@@ -377,17 +402,20 @@ def gamma_const(profile: Profile, quad_tol: float = 1e-9) -> float:
         return float(np.sum(half * (fv @ _GL_W)))
 
     def side(sign: float, level: int) -> float:
+        layout = _V_LAYOUT_COARSE if level == 1 else _V_LAYOUT
+
+        def g(t):
+            return _g_grid(profile, sign * t, layout)
+
         # graded geometric mesh on [t0, 1/2] resolves the theta -> 0 power law
         geo = np.geomspace(t0, 0.5, 10 * 3 * level + 1)
-        body = panel_sum(geo, lambda t: _g_grid(profile, sign * t))
+        body = panel_sum(geo, g)
         # theta = 1 - s^2 renders the upper half smooth (sqrt tail for +,
         # exponentially flat for -)
         s_edges = np.linspace(0.0, np.sqrt(0.5), 8 * level + 1)
-        upper = panel_sum(
-            s_edges, lambda s: 2.0 * s * _g_grid(profile, sign * (1.0 - s * s))
-        )
+        upper = panel_sum(s_edges, lambda s: 2.0 * s * g(1.0 - s * s))
         # asymptotic tail on [0, t0]
-        g0 = _g_grid(profile, np.array([sign * t0]))[0]
+        g0 = g(np.array([t0]))[0]
         if abs(kappa - 2.0) <= 1e-9:
             tail = g0 / (-np.log(t0)) * (t0 - t0 * np.log(t0))
         elif kappa < 2.0:

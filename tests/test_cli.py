@@ -1,3 +1,8 @@
+import errno
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 
@@ -83,6 +88,69 @@ def test_determinism(tmp_path):
     assert dispatch(args + ["--out", str(a)]) == 0
     assert dispatch(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+class _DiskFull:
+    """File wrapper whose write stores half of the text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "rings.csv"
+    args = ["rings", "--kernel", "synthetic", "--max-zeros", "3", "--out", str(out)]
+    out.write_bytes(b"old contents\n")
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda *a, **k: _DiskFull(real_fdopen(*a, **k)))
+    assert dispatch(args) == 4
+    assert "No space left" in capsys.readouterr().err
+    # no partial file, no temporary file, and the old file byte for byte
+    assert [p.name for p in tmp_path.iterdir()] == ["rings.csv"]
+    assert out.read_bytes() == b"old contents\n"
+    monkeypatch.undo()
+    assert dispatch(args) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["rings.csv"]
+    assert out.read_bytes().startswith(b"# command = rings")
+
+
+def test_written_file_mode_and_special_targets(tmp_path):
+    # a new file gets the mode a plain open() would give, an old one keeps
+    # its own; a symlink is written through, and a pipe is written into,
+    # neither is replaced
+    args = ["rings", "--kernel", "synthetic", "--max-zeros", "3", "--out"]
+    out = tmp_path / "r.csv"
+    assert dispatch(args + [str(out)]) == 0
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    assert out.stat().st_mode == plain.stat().st_mode
+    out.chmod(0o640)
+    assert dispatch(args + [str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    link = tmp_path / "link.csv"
+    link.symlink_to(out)
+    out.write_bytes(b"")
+    assert dispatch(args + [str(link)]) == 0
+    assert link.is_symlink() and out.read_bytes().startswith(b"# command = rings")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert dispatch(args + [str(fifo)]) == 0
+    reader.join(10.0)
+    assert not reader.is_alive() and got[0] == out.read_bytes()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_extended_csv(tmp_path, synthetic_pattern):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from liesegang import kernel as kn
-from liesegang.errors import InvalidParameter, SingularAtZero
+from liesegang.errors import InvalidParameter, QuadratureFailure, SingularAtZero
 from liesegang.profile import (
     ModelParams, check_solvability, phi_eval, psi_at_source, solve_kappa,
 )
@@ -209,12 +209,51 @@ def test_grid_point_alone_equals_table_call(request, which):
     # list or on where the blocks split
     prof = request.getfixturevalue(which)
     thetas = _table_thetas()
-    # every point at kappa 1.77; every 7th at kappa 46, with six times the panels
+    # every point at kappa 1.77; every 7th at kappa 46, where the geometric
+    # panels and the first graded one are split six ways
     stride = 1 if which == "profile02" else 7
     for sign in (1.0, -1.0):
         together = kn._g_grid(prof, sign * thetas)[::stride]
         alone = [kn._g_grid(prof, sign * thetas[i:i + 1])[0] for i in range(0, len(thetas), stride)]
         assert np.array_equal(alone, together)
+
+
+def test_grid_work_is_pinned(monkeypatch, profile02):
+    # point i costs its m_i geometric panels (ratio <= 4 from v_min up to
+    # v = 1) and the six graded panels of the exponential range, 16 nodes
+    # each; uniform panels over the exponential range would cost 23
+    nodes = []
+    series = kn.kummer_series
+
+    def counting_series(*args):
+        m_eval = series(*args)
+
+        def counted(z):
+            nodes.append(np.size(z))
+            return m_eval(z)
+
+        return counted
+
+    monkeypatch.setattr(kn, "kummer_series", counting_series)
+    assert profile02.kappa < kn._GEO_KAPPA
+    thetas = _table_thetas()
+    for sign in (1.0, -1.0):
+        nodes.clear()
+        g = kn._g_grid(profile02, sign * thetas)
+        vm = kn._v_min(profile02.params.alpha, sign * thetas[g != 0.0])
+        m = np.where(vm < 1.0, np.maximum(1.0, np.ceil(-np.log(vm) / np.log(4.0))), 0.0)
+        assert 0 < sum(nodes) <= np.sum((m + 6) * 16)
+
+
+@pytest.mark.parametrize("which", ["profile02", "profile_large_kappa"])
+def test_grid_layout_converged(request, which):
+    # against panels of ratio 1.5 below v = 1 and width 1/4 above it
+    prof = request.getfixturevalue(which)
+    thetas = _table_thetas()[::8]
+    fine = (1.5, np.arange(0.0, kn._V_CUT + 0.125, 0.25))
+    for sign in (1.0, -1.0):
+        ref = kn._g_grid(prof, sign * thetas, fine)
+        np.testing.assert_allclose(kn._g_grid(prof, sign * thetas), ref, rtol=1e-13, atol=0.0)
 
 
 def test_grid_memory_peak(profile02):
@@ -232,6 +271,18 @@ def test_grid_memory_peak(profile02):
 
 # ---------------------------------------------------------------------------
 # Gamma constant
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [(4.0, (0.0, 1.0, 3.0, 7.0)), (64.0, kn._V_LAYOUT[1])],
+    ids=["cut_at_e^-7", "geometric_ratio_64"],
+)
+def test_gamma_gap_sees_the_v_layout(monkeypatch, profile02, layout):
+    # the coarse level has its own v-layout, so a broken fine one shows
+    monkeypatch.setattr(kn, "_V_LAYOUT", layout)
+    with pytest.raises(QuadratureFailure, match="refinement gap"):
+        kn.gamma_const(profile02, 1e-9)
 
 
 def test_gamma_const_graded_vs_cutoff_extrapolation(profile02):
