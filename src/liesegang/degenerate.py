@@ -40,9 +40,6 @@ from .errors import (
 from .kernel import Kernel, synthetic_kernel
 from .specfun import pointwise
 
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-
-
 def default_template() -> Kernel:
     return synthetic_kernel(0.5, 1.0)
 
@@ -199,7 +196,6 @@ class PartialKernel:
     bridge: GapBridge
     r: float
     eval: Callable
-    g_eval: Callable
     int_k: float  # int_r^1 K_eps
     int_g: float  # int_r^1 G_eps
     g_at_r: float
@@ -234,7 +230,7 @@ def kernel_from_bridge(template: Kernel, bridge: GapBridge, x1: float) -> Partia
         epsabs=0.0, epsrel=1e-11, limit=400,
     )
     return PartialKernel(
-        bridge=bridge, r=float(r), eval=k_eps, g_eval=g_eps,
+        bridge=bridge, r=float(r), eval=k_eps,
         int_k=float(int_k), int_g=float(int_g), g_at_r=float(g_eps(r)),
     )
 
@@ -265,15 +261,6 @@ def choose_epsilon(template: Kernel, x1: float, x2: float) -> PartialKernel:
     raise EpsilonNotFound("no admissible epsilon within 40 halvings")
 
 
-def _bump_moments(poly_factors, lo: float, hi: float) -> tuple[float, float]:
-    """(int b, int theta^2 b) over [lo, hi] for b of polynomial degree <= 8."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    th = mid + half * _GL8_X
-    b = poly_factors(th)
-    return float(half * np.sum(_GL8_W * b)), float(half * np.sum(_GL8_W * th * th * b))
-
-
 @dataclass(frozen=True)
 class DegenerateConstruction:
     template: Kernel
@@ -299,7 +286,8 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
     then mixes two quartic bumps b1 on [0, r*/2] and b2 on [r*, r] with the
     weight lambda* solving B1(lambda)/B2(lambda) = r*^2, and adds the tail
     G_eps(r) theta^(n+2)/r^n.  The construction forces int K_hat = int K*
-    and int G_hat = Gamma exactly.
+    and int G_hat = Gamma; the moments, b_norm, head and prefix all come
+    from one polynomial per bump, so int K_hat meets int K* to rounding.
     """
     gamma = template.gamma_const
     bridge = partial.bridge
@@ -321,16 +309,20 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
         raise TailPowerNotFound("no tail power n <= 200 satisfies the ratio bound")
     r_star = float(np.sqrt(r_star2))
 
-    def b1(th):
-        inside = (th >= 0.0) & (th <= r_star / 2.0)
-        return np.where(inside, th**4 * (r_star / 2.0 - th) ** 4, 0.0)
+    # each bump (theta - lo)^4 (hi - theta)^4 is one polynomial; its moments,
+    # b_norm, the head and its prefix all come from it
+    th = np.polynomial.Polynomial([0.0, 1.0])
+    supports = ((0.0, r_star / 2.0), (r_star, r))
+    bumps = [(th - lo) ** 4 * (hi - th) ** 4 for lo, hi in supports]
+    weighted = [th * th * b for b in bumps]
+    anti_w = [w.integ() for w in weighted]
 
-    def b2(th):
-        inside = (th >= r_star) & (th <= r)
-        return np.where(inside, (th - r_star) ** 4 * (r - th) ** 4, 0.0)
+    def bump_masses(t):
+        # int_lo^t theta^2 b of each bump, t clipped to the bump's support
+        return [a(np.clip(t, lo, hi)) - a(lo) for a, (lo, hi) in zip(anti_w, supports)]
 
-    i0_b1, i2_b1 = _bump_moments(b1, 0.0, r_star / 2.0)
-    i0_b2, i2_b2 = _bump_moments(b2, r_star, r)
+    i0_b1, i0_b2 = (b.integ()(hi) - b.integ()(lo) for b, (lo, hi) in zip(bumps, supports))
+    i2_b1, i2_b2 = bump_masses(r)
     if not (i2_b1 / i0_b1 < r_star2 < i2_b2 / i0_b2):
         raise LambdaOutOfRange("bump second moments do not bracket r*^2")
     # B1(lambda)/B2(lambda) = r*^2 is linear in lambda; the complement
@@ -344,44 +336,28 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
         raise LambdaOutOfRange(f"lambda* = {lambda_star} outside (0, 1)")
     b_norm = lambda_star * i2_b1 + mu_star * i2_b2
 
-    def head(th):
-        spline = (
-            k_star
-            / b_norm
-            * (lambda_star * th * th * b1(th) + mu_star * th * th * b2(th))
-        )
-        return spline + g_r * th ** (n_power + 2) / r**n_power
+    def head(t):
+        # near a bump's ends the power basis can round below 0
+        w1, w2 = (np.where((t >= lo) & (t <= hi), np.maximum(w(t), 0.0), 0.0)
+                  for w, (lo, hi) in zip(weighted, supports))
+        spline = k_star / b_norm * (lambda_star * w1 + mu_star * w2)
+        return spline + g_r * t ** (n_power + 2) / r**n_power
 
-    # closed-form antiderivative of the head: polynomial pieces plus tail
-    def poly1():
-        th = np.polynomial.Polynomial([0.0, 1.0])
-        return th**6 * (r_star / 2.0 - th) ** 4
-
-    def poly2():
-        th = np.polynomial.Polynomial([0.0, 1.0])
-        return th**2 * (th - r_star) ** 4 * (r - th) ** 4
-
-    p1_int = poly1().integ()
-    p2_int = poly2().integ()
-
-    def head_prefix(theta):
-        th = np.asarray(theta, dtype=float)
-        thc = np.clip(th, 0.0, r)
-        part1 = p1_int(np.minimum(thc, r_star / 2.0)) - p1_int(0.0)
-        part2 = np.where(
-            thc > r_star, p2_int(np.maximum(thc, r_star)) - p2_int(r_star), 0.0
-        )
+    def head_prefix(t):
+        part1, part2 = bump_masses(t)
         spline = k_star / b_norm * (lambda_star * part1 + mu_star * part2)
-        tail = g_r * thc ** (n_power + 3) / ((n_power + 3.0) * r**n_power)
-        return spline + tail
+        return spline + g_r * t ** (n_power + 3) / ((n_power + 3.0) * r**n_power)
 
     x1, x2, eps = bridge.x1, bridge.x2, bridge.epsilon
-    head_mass = float(head_prefix(r))
 
     def _keps_anti(t):
         # antiderivative of -K_eps: (omega_eps(x1/t) - Gamma) t^2 / x1^2
         x = x1 / t
         return -(bridge.value(x) - gamma) * t * t / x1**2
+
+    # on [r, 1] the prefix is measured down from theta = 1: prefix(1) is the
+    # sum head mass + int_k that k_star balances against int K*
+    total, top = float(head_prefix(r)) + partial.int_k, _keps_anti(1.0)
 
     @pointwise
     def eval_fn(theta):
@@ -393,7 +369,7 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
     def prefix(theta):
         flat = np.clip(theta, 0.0, 1.0)
         return np.piecewise(flat, [flat <= r], [
-            head_prefix, lambda th: head_mass + _keps_anti(th) - _keps_anti(r)
+            head_prefix, lambda th: total - (top - _keps_anti(th))
         ])
 
     kern = Kernel(
@@ -409,7 +385,6 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
     breaks = {r_star / 2.0, r_star, float(r)}
     for k in range(5):
         breaks.add(x1 / (x2 - eps + k * eps / 2.0))
-    breaks.add(x1 / (x2 + 2.0 * eps))
     return DegenerateConstruction(
         template=template,
         x1=x1,

@@ -436,9 +436,6 @@ def gamma_const(profile: Profile, quad_tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 # cached table and Kernel assembly
 
-_BLEND = 1e-3  # width of the near-1 asymptotic blending zone
-
-
 def k_coefficient(profile: Profile) -> float:
     """Tail coefficient k in K ~ k sqrt(1-theta): sqrt(2/pi) u*/alpha."""
     p = profile.params
@@ -473,8 +470,9 @@ def build_kernel_table(
 
     The grid theta = sin^2(u) with uniform u is Chebyshev-spaced, dense at
     both endpoints.  Interpolation runs on V(u) = K/sqrt(1-theta), which is
-    smooth up to theta = 1; on [1 - 1e-3, 1] the evaluation blends the
-    table into the exact tail asymptote k sqrt(1-theta).  The cumulative
+    smooth up to theta = 1, where it takes the tail coefficient k of
+    K ~ k sqrt(1-theta); the spline alone is accurate there, so no
+    asymptotic blend is needed.  The cumulative
     integral is the antiderivative of a spline of K dtheta/du on a 4x finer
     grid, so cum is exactly additive.  Off-grid probes against the adaptive
     scalar evaluator guard the interpolation error.
@@ -501,11 +499,7 @@ def build_kernel_table(
     @pointwise
     def eval_fn(theta):
         tt = np.clip(theta, 0.0, 1.0)
-        uu = _u_of_theta(tt)
-        root = np.sqrt(np.maximum(1.0 - tt, 0.0))
-        base = v_spline(uu) * root
-        w = np.clip((tt - (1.0 - _BLEND)) / _BLEND, 0.0, 1.0)
-        return (1.0 - w) * base + w * kc * root
+        return v_spline(_u_of_theta(tt)) * np.sqrt(1.0 - tt)
 
     anti, prefix = _spline_prefix(eval_fn, 4 * n_points)
     a0 = float(anti(0.0))

@@ -7,8 +7,9 @@ equation reduces, between zeros, to the explicit partial sum
     rho_i(x) = x^2 * int_{x_i/x}^1 K(theta) dtheta,
 
 so bands alternate: omega > 0 on (x_2j, x_2j+1) (rings), < 0 on gaps.  The
-solver scans each band for the next sign change, bisects it, and then tests
-whether either sign hypothesis continues the solution past the new zero.
+solver scans each band for the next sign change, refines it with Brent's
+method, and then tests whether either sign hypothesis continues the
+solution past the new zero.
 If neither does, the pattern breaks down degenerately there; otherwise the
 widths shrink geometrically and the zeros accumulate at a finite point,
 with the eventual ratio bounded by the root q* of
@@ -27,6 +28,8 @@ from scipy import optimize
 from .errors import AmbiguousContinuation, InsufficientData, InvalidParameter
 from .kernel import SIGMA_MAX, Kernel
 from .specfun import pointwise
+
+MAX_SCAN_POINTS = 2**20  # omega evaluations of one next_zero scan, checked as it advances
 
 
 class Classification(str, Enum):
@@ -100,25 +103,32 @@ def _require_positive(**values) -> None:
             raise InvalidParameter(f"{name} must be positive and finite, got {v}")
 
 
+def _band_value(x, kern: Kernel, zeros) -> float:
+    """omega at a scalar x, for brentq: kern and zeros go through args=, as a
+    closure over them would keep the kernel alive until a full collection."""
+    return omega_eval(kern, zeros, x)
+
+
 def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
               horizon: float) -> float | None:
-    """Scan past the last zero for the next sign change, then bisect.
+    """Scan past the last zero for the next sign change, then refine it with
+    Brent's method to 4 eps relative.
 
+    root_tol is the scan floor: the anchor past the last zero backs off no
+    closer than root_tol/4, and a rescaled stride stays at least 8 root_tol.
     Returns None when no sign change occurs before the horizon (the band
-    extends beyond it, or widths fell below resolution).
+    extends beyond it, or widths fell below resolution).  Raises
+    InvalidParameter when the scan would take over MAX_SCAN_POINTS points.
     """
     _require_positive(scan_step=scan_step, root_tol=root_tol, horizon=horizon)
     last = zeros[-1] if zeros else 0.0
     n = len(zeros) - 1  # index of the open band
     band_sign = (-1.0) ** n
 
-    def f(x):
-        return omega_eval(kern, zeros, x)
-
     # establish a same-sign anchor just past the zero
     a = last + scan_step
     backoff = 0
-    while np.sign(f(a)) != band_sign:
+    while np.sign(omega_eval(kern, zeros, a)) != band_sign:
         a = last + (a - last) / 4.0
         backoff += 1
         if backoff > 60 or (a - last) < root_tol / 4.0:
@@ -128,11 +138,17 @@ def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
     step = min(scan_step, max(2.0 * (a - last), 8.0 * root_tol))
     x_prev = a
     block = 512
+    scanned = 0
     while x_prev < horizon:
         xs = x_prev + step * np.arange(1, block + 1)
         xs = xs[xs <= horizon]
         if len(xs) == 0:
             break
+        scanned += len(xs)
+        if scanned > MAX_SCAN_POINTS:
+            raise InvalidParameter(
+                f"a stride of {step:.3g} from {last:.6g} needs over {MAX_SCAN_POINTS} scan points"
+            )
         vals = omega_eval(kern, zeros, xs)
         flip = np.nonzero(np.sign(vals) == -band_sign)[0]
         if len(flip) == 0:
@@ -140,31 +156,9 @@ def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
             continue
         j = int(flip[0])
         lo = x_prev if j == 0 else float(xs[j - 1])
-        hi = float(xs[j])
-        while hi - lo > root_tol:
-            mid = 0.5 * (lo + hi)
-            if np.sign(f(mid)) == band_sign or f(mid) == 0.0:
-                lo = mid
-            else:
-                hi = mid
-        # secant polish drives the residual to value-level noise, which keeps
-        # later zeros from inheriting a location bias
-        x0, x1 = lo, hi
-        f0, f1 = float(f(x0)), float(f(x1))
-        best_x, best_f = (x0, f0) if abs(f0) <= abs(f1) else (x1, f1)
-        for _ in range(8):
-            if f1 == f0:
-                break
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not lo - root_tol <= x2 <= hi + root_tol:
-                break
-            f2 = float(f(x2))
-            x0, f0, x1, f1 = x1, f1, x2, f2
-            if abs(f2) < abs(best_f):
-                best_x, best_f = x2, f2
-            if f2 == 0.0:
-                break
-        return best_x
+        # xtol tiny: stop on the relative test (4 eps) alone
+        return optimize.brentq(_band_value, lo, float(xs[j]), args=(kern, zeros),
+                               xtol=np.finfo(float).tiny)
     return None
 
 
@@ -180,7 +174,7 @@ def classify_continuation(kern: Kernel, zeros, delta_probe: float,
     at the root-tolerance level, when its one-sided slope does.  A
     hypothesis is refuted when some probe value of the wrong sign clears
     the resolution floor.  Raises AmbiguousContinuation if both hypotheses
-    pass.
+    pass.  root_tol caps the value floor of the probes.
     """
     if len(zeros) < 2:
         raise InvalidParameter("need at least one positive zero to classify")

@@ -5,6 +5,7 @@ from scipy import integrate
 from liesegang import degenerate as dg
 from liesegang import rings
 from liesegang.errors import BridgeInfeasible, InvalidParameter, TangentialTemplate
+from liesegang.kernel import synthetic_kernel
 
 X1_EXACT = np.sqrt(70.0) / 4.0
 
@@ -207,8 +208,15 @@ def test_lambda_bracketing(construction):
     def b2(t):
         return np.where((t >= rs) & (t <= r), (t - rs) ** 4 * (r - t) ** 4, 0.0)
 
-    i0b1, i2b1 = dg._bump_moments(b1, 0.0, rs / 2.0)
-    i0b2, i2b2 = dg._bump_moments(b2, rs, r)
+    def moments(b, lo, hi):
+        # (int b, int theta^2 b) by an 8-point Gauss rule, exact for degree <= 15
+        x, w = np.polynomial.legendre.leggauss(8)
+        half = 0.5 * (hi - lo)
+        th = 0.5 * (hi + lo) + half * x
+        return half * np.sum(w * b(th)), half * np.sum(w * th * th * b(th))
+
+    i0b1, i2b1 = moments(b1, 0.0, rs / 2.0)
+    i0b2, i2b2 = moments(b2, rs, r)
     assert i2b1 / i0b1 < rs * rs < i2b2 / i0b2
 
 
@@ -242,6 +250,33 @@ def test_kernel_array_matches_scalar_calls(construction):
 
 def test_verify_degeneracy(construction):
     assert dg.verify_degeneracy(construction) is True
+
+
+IDENTITY_SIGMAS = (0.3, 0.4127, 0.48, 0.4905, 0.5, 0.55)
+
+
+@pytest.fixture(scope="module")
+def constructions():
+    return {s: dg.construct_degenerate(synthetic_kernel(s, 1.0)) for s in IDENTITY_SIGMAS}
+
+
+@pytest.mark.parametrize("sigma", IDENTITY_SIGMAS)
+def test_mass_identity_and_tangential_zero_to_rounding(constructions, sigma):
+    # the head's moments, b_norm and prefix come from one polynomial per
+    # bump, so int K_hat = int K* and omega(x2 + eps) = 0 hold to rounding
+    cons = constructions[sigma]
+    kern, eps = cons.result, np.finfo(float).eps
+    total = cons.template.cum(0.0, 1.0)
+    assert abs(kern.cum(0.0, 1.0) - total) <= 4.0 * eps * total
+    omega = rings.omega_eval(kern, [0.0, cons.x1], cons.x2 + cons.epsilon)
+    assert abs(omega) <= 4.0 * eps * kern.gamma_const
+
+
+@pytest.mark.parametrize("sigma", [0.48, 0.4905])
+def test_verify_degeneracy_across_sigma(constructions, sigma):
+    # a mass mismatch of 1e-14 leaves omega(x2 + eps) near -1e-13, and a
+    # chatter zero past x2 + eps then hides the breakdown
+    assert dg.verify_degeneracy(constructions[sigma]) is True
 
 
 def test_pattern_is_degenerate(construction):

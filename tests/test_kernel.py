@@ -486,3 +486,12 @@ def test_generalizes_beyond_unit_parameters():
     assert gam == pytest.approx(psi_at_source(params) - 0.05, abs=1e-8)
     ratio = kn.k_eval(prof, 1.0 - 1e-4, 1e-9) / np.sqrt(1e-4)
     assert ratio == pytest.approx(kn.k_coefficient(prof), rel=0.05)
+
+
+@pytest.mark.parametrize("gap", [3e-4, 1e-4, 1e-7])
+def test_table_eval_near_one_matches_direct(profile02, model_kernel02, gap):
+    # the V(u) spline is accurate up to theta = 1; the leading asymptote
+    # k sqrt(1 - theta) is 0.6% off at 1 - theta = 1e-4
+    _, kern = model_kernel02
+    direct = kn.k_eval(profile02, 1.0 - gap, quad_tol=1e-11)
+    assert abs(float(kern.eval(1.0 - gap)) - direct) <= 1e-9 * direct

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from liesegang import rings
 from liesegang.errors import InsufficientData, InvalidParameter
-from liesegang.kernel import SIGMA_MAX
+from liesegang.kernel import SIGMA_MAX, synthetic_kernel
 
 X1_EXACT = np.sqrt(70.0) / 4.0  # root of 2/3 = x^2 * 16/105
 Q_STAR_HALF = 0.41964337760736525  # frozen, |G(q*)| <= 1e-13
@@ -75,9 +75,36 @@ def test_omega_requires_zero_prefix(synthetic):
         rings.omega_eval(synthetic, [1.0], 2.0)
 
 
-def test_first_zero_closed_form(synthetic):
-    z = rings.next_zero(synthetic, [0.0], 0.01, 1e-13, 10.0)
-    assert z == pytest.approx(X1_EXACT, abs=1e-12)
+def test_first_zero_closed_form():
+    # x1 = sqrt(Gamma / int K); brentq stops on its 4 eps relative test,
+    # and lands within 1 eps of x1 across sigma
+    for sigma in np.linspace(0.02, 0.98 * SIGMA_MAX, 12):
+        kern = synthetic_kernel(sigma, 1.0)
+        x1 = np.sqrt(kern.gamma_const / kern.cum(0.0, 1.0))
+        z = rings.next_zero(kern, [0.0], 0.01, 1e-13, 10.0)
+        assert abs(z - x1) <= 2.0 * np.finfo(float).eps * x1, sigma
+
+
+def test_next_zero_scan_is_capped(synthetic):
+    # a stride of 1e-300 would need about 1e301 scan points to reach the horizon
+    with pytest.raises(InvalidParameter):
+        rings.next_zero(synthetic, [0.0], 1e-300, 1e-13, 10.0)
+
+
+def test_zero_refinement_work(synthetic, monkeypatch):
+    # Brent's method needs about 14 scalar omega evaluations per zero, scan
+    # and continuation probes included; a bisection to root_tol needs 46
+    scalar_calls = []
+    original = rings.omega_eval
+
+    def counted(kern, zeros, x):
+        if np.ndim(x) == 0:
+            scalar_calls.append(x)
+        return original(kern, zeros, x)
+
+    monkeypatch.setattr(rings, "omega_eval", counted)
+    pattern = rings.solve_pattern(synthetic)
+    assert len(scalar_calls) <= 20 * (len(pattern.zeros) - 1)
 
 
 def test_next_zero_bracket_signs(synthetic):
