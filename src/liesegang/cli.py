@@ -91,9 +91,15 @@ def _add_table_flags(p: argparse.ArgumentParser) -> None:
 
 
 def load_kernel_file(path: str) -> Kernel:
-    """Tabulated kernel: '#' keys sigma, k_coeff, gamma; rows theta, K."""
+    """Tabulated kernel: '#' keys sigma, k_coeff, gamma; rows theta, K.
+
+    theta is column 0.  K is column 1 when there is no column header row,
+    and otherwise the column named K (a `kernel` export) or K_hat (a
+    `degenerate` export).
+    """
     meta = {}
     thetas, kvals = [], []
+    k_col = 1
     n_rows = 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -108,10 +114,16 @@ def load_kernel_file(path: str) -> Kernel:
             n_rows += 1
             parts = line.split(",")
             try:
-                th, kv = float(parts[0]), float(parts[1])
+                th, kv = float(parts[0]), float(parts[k_col])
             except (ValueError, IndexError):
-                if n_rows == 1:
-                    continue  # column header row
+                if n_rows == 1:  # column header row
+                    names = [p.strip() for p in parts]
+                    k_col = next((names.index(n) for n in ("K", "K_hat") if n in names), None)
+                    if k_col is None:
+                        raise InvalidParameter(
+                            f"{path}:{lineno}: column header {line!r} names neither K nor K_hat"
+                        )
+                    continue
                 raise InvalidParameter(
                     f"{path}:{lineno}: malformed data row {line!r}"
                 ) from None

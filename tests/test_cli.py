@@ -197,6 +197,20 @@ def test_degenerate_roundtrip(tmp_path, construction):
     assert pattern.x_star == pytest.approx(x_break, rel=0.01)
 
 
+def test_kernel_export_roundtrip(tmp_path):
+    # rings reads the export's K column by name, not G_plus in column 1
+    export = tmp_path / "k.csv"
+    assert dispatch(["kernel", "--table-points", "512", "--out", str(export)]) == 0
+    zeros = []
+    for selector in (f"file:{export}", "model"):
+        out = tmp_path / "r.csv"
+        rc = dispatch(["rings", "--kernel", selector, "--table-points", "512", "--out", str(out)])
+        assert rc == 0
+        zeros.append([float(row[1]) for row in read_rows(out)[2][:5]])
+    assert len(zeros[0]) == 5
+    np.testing.assert_allclose(zeros[0], zeros[1], rtol=1e-4)
+
+
 def assert_input_error(argv, capsys):
     """Invalid input: exit code 2 and a one-line error, never a traceback."""
     rc = dispatch(argv)
@@ -279,18 +293,19 @@ def test_out_of_range_size_or_tolerance_exits_two(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "bad_line, lineno",
-    [("0.95", 15), ("theta,K", 15), ("# sigma = half", None)],
+    [("0.95", 15), ("theta,K", 15), ("theta,G_plus", 4), ("# sigma = half", None)],
 )
 def test_kernel_file_malformed_line_exits_two(tmp_path, capsys, bad_line, lineno):
-    # only the first non-'#' row may be a column header; a later row that
-    # does not parse as two numbers is reported with its line number
+    # only the first non-'#' row may be a column header, and it must name K
+    # or K_hat; a later row that does not parse as two numbers is reported
+    # with its line number
     thetas = np.linspace(0.0, 0.9, 10)
     lines = ["# sigma = 0.5", "# k_coeff = 1", "# gamma = 0.6666666666666666", "theta,K"]
     lines += [f"{t:.17g},{t * t * np.sqrt(1.0 - t):.17g}" for t in thetas]
     if lineno is None:
         lines[0] = bad_line  # a header value that is not a number
     else:
-        lines.append(bad_line)
+        lines[lineno - 1:lineno] = [bad_line]  # line 15 is one past the end
     path = tmp_path / "k.csv"
     path.write_text("\n".join(lines) + "\n")
     err = assert_input_error(

@@ -171,6 +171,10 @@ def test_k_dual_route(profile015):
 
 # kappa = 46: above kernel._GEO_KAPPA, so _g_grid splits its panels
 LARGE_KAPPA_PARAMS = (2.78, 2.171, 0.172)
+# kappa = 5.22: at theta = SINGLE_PANEL_THETA, one QUADPACK panel across
+# v = 1 in log v reports 3e-12 on a value 4.5e-10 off
+SINGLE_PANEL_PARAMS = (0.7071276517545955, 1.4888463614081064, 0.0655739756998827)
+SINGLE_PANEL_THETA = 0.999999999192067
 
 
 @pytest.fixture(scope="module")
@@ -187,20 +191,21 @@ def test_grid_matches_scalar(profile01, profile015, profile02, profile_large_kap
     # points beyond the v_min > 700 cut, where both evaluators give 0
     sweep = np.array([
         -(1.0 - 1e-12), -0.9995, -0.9, -0.3, -1e-4, -1e-10,
-        1e-10, 1e-4, 0.4, 0.9, 0.9999, 0.999999, 1.0 - 1e-12,
+        1e-10, 1e-4, 0.4, 0.9, 0.9999, 0.999999, 1.0 - 1e-12, SINGLE_PANEL_THETA,
     ])
     assert profile_large_kappa.kappa > kn._GEO_KAPPA
-    for prof in (profile01, profile015, profile02, profile_large_kappa):
+    single_panel = solve_kappa(ModelParams(*SINGLE_PANEL_PARAMS))
+    for prof in (profile01, profile015, profile02, profile_large_kappa, single_panel):
         grid = kn._g_grid(prof, sweep)
         for th, g in zip(sweep, grid):
             direct = kn.g_eval(prof, float(th), 1e-11)
             if direct == 0.0:
                 assert g == 0.0
             else:
-                assert g == pytest.approx(direct, rel=1e-10)
+                assert g == pytest.approx(direct, rel=1e-10, abs=0.0)
         assert np.array_equal(kn._g_grid(prof, [-1.0, 0.0, 1.0]), np.zeros(3))
         # -0.9995 lies past the cut for every alpha >= 1
-        assert kn._v_min(prof.params.alpha, -0.9995) > 700.0
+        assert prof.params.alpha < 1.0 or kn._v_min(prof.params.alpha, -0.9995) > 700.0
 
 
 @pytest.mark.parametrize("which", ["profile02", "profile_large_kappa"])
@@ -243,6 +248,33 @@ def test_grid_work_is_pinned(monkeypatch, profile02):
         vm = kn._v_min(profile02.params.alpha, sign * thetas[g != 0.0])
         m = np.where(vm < 1.0, np.maximum(1.0, np.ceil(-np.log(vm) / np.log(4.0))), 0.0)
         assert 0 < sum(nodes) <= np.sum((m + 6) * 16)
+
+
+@pytest.mark.parametrize("which, cap", [("profile02", 1000), ("profile_large_kappa", 1400)])
+def test_probe_work_is_pinned(monkeypatch, request, which, cap):
+    # the table's four k_eval probes are 8 g_eval integrals, each one
+    # QUADPACK call in log v: about 80 integrand calls at kappa 1.77 and
+    # 120 at kappa 46
+    prof = request.getfixturevalue(which)
+    calls = []
+    psi = kn._psi_over_zeta3
+
+    def counting_psi(profile, zeta):
+        calls.append(1)
+        return psi(profile, zeta)
+
+    monkeypatch.setattr(kn, "_psi_over_zeta3", counting_psi)
+    kn.build_kernel_table(prof, 256)
+    assert 0 < len(calls) <= cap
+
+
+@pytest.mark.parametrize("quad_tol", [kn.QUAD_TOL_MIN, 1e-13, 1e-12, 1e-6])
+def test_g_eval_meets_every_tolerance(profile02, profile_large_kappa, quad_tol):
+    # near both ends and near 0 the single log-v call stays within its
+    # 10 quad_tol error check
+    for prof in (profile02, profile_large_kappa):
+        for th in (1.0 - 1e-12, 1.0 - 1e-7, 1e-6, -1e-6, -0.99):
+            assert kn.g_eval(prof, th, quad_tol) > 0.0
 
 
 @pytest.mark.parametrize("which", ["profile02", "profile_large_kappa"])
@@ -473,6 +505,15 @@ def test_kernel_from_samples_tail_rule():
     expect = k_last * np.sqrt(1.0 - 0.95) / np.sqrt(1.0 - 0.9)
     assert float(rebuilt.eval(0.95)) == pytest.approx(expect, rel=1e-12)
     assert float(rebuilt.eval(1.0)) == 0.0
+
+
+def test_kernel_from_samples_tail_follows_sigma():
+    # beyond the last node K keeps V = K/(1-theta)^sigma at its last value
+    thetas = np.linspace(0.0, 0.9, 200)
+    kern = kn.synthetic_kernel(0.3, 1.0)
+    rebuilt = kn.kernel_from_samples(thetas, kern.eval(thetas), 0.3, 1.0, kern.gamma_const)
+    expect = float(kern.eval(0.9)) * (0.05 / 0.1) ** 0.3
+    assert float(rebuilt.eval(0.95)) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_generalizes_beyond_unit_parameters():
