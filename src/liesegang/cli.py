@@ -269,7 +269,11 @@ def cmd_extended(args) -> None:
             "b": args.b, "h": args.h, "eps": args.eps, "residual": sol.residual,
         }
         rows = zip(sol.grid, sol.omega, sol.rho, sol.residual_local)
-        emit_csv(args.out, meta, ["x", "omega", "rho", "residual_local"], rows)
+        # one value per level of the eps schedule
+        names = ("ramp_zone_fraction", "newton_max", "newton_mean")
+        columns = list(zip(*sol.newton_trace))[1:]
+        trailer = {name: ",".join(map(_fmt, col)) for name, col in zip(names, columns)}
+        emit_csv(args.out, meta, ["x", "omega", "rho", "residual_local"], rows, trailer=trailer)
         print(f"extended: residual={sol.residual:.4g}")
     else:
         pattern = rings.solve_pattern(kern)

@@ -58,7 +58,7 @@ class VerificationFailed(LiesegangError):
 
 
 class PicardStall(LiesegangError):
-    """Per-node fixed-point iteration failed to contract."""
+    """A node equation of the relay march did not converge in 60 steps."""
 
 
 class SingularPanel(LiesegangError):

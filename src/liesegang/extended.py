@@ -21,12 +21,14 @@ convolution, so in theta = y/x_k panel i of node k is [q^-(m+1), q^-m] with
 m = k - 1 - i: every kernel mass and every certificate quadrature weight is
 a table over the offset m, made with one prefix or eval call (Hairer, Lubich
 & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985; Vainikko, Numer. Funct.
-Anal. Optim. 30, 2009).  The history sums become one dot product per node,
-and each certificate one discrete convolution.
+Anal. Optim. 30, 2009).  The history sums are marched in blocks of nodes,
+one correlation per block (_causal_march), and each certificate is one
+discrete convolution.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,7 @@ _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
 _ZERO = np.float64(0.0)  # 0/0 at a NaN argument gives NaN, as the array path does
 MAX_NODES = 10**6  # grid nodes or panels of one march, checked before allocating
 _THETA_FLOOR = 1e-6  # the first band's certificate panels are graded down to here
+_BLOCK = 16  # nodes per block of the causal march; 32 times the same, 64 is slower
 
 
 def _geometric_nodes(lo: float, b: float, h: float):
@@ -130,6 +133,31 @@ def _suffix_sums(values):
     return (within + later[:, None]).ravel()[: len(values)]
 
 
+def _causal_march(c, step):
+    """March v[k-1] = step(k, s_k) for k = 1..n = len(c), where s_k =
+    sum_(i < k-1) v[i] c[k-1-i] is the history of node k without its newest
+    panel; returns v.
+
+    The nodes go in blocks of _BLOCK (Hairer, Lubich & Schlichte): the part
+    of s_k from the values before the block is one correlation per block,
+    the part from the block's own values a scalar sum over c[1:_BLOCK].
+    """
+    n = len(c)
+    v = np.empty(n)
+    near = c[1:_BLOCK].tolist()
+    for k0 in range(1, n + 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, n + 1)
+        if k0 == 1:
+            far = [0.0] * (k1 - k0)
+        else:  # far[r] = sum_(i <= k0-2) v[i] c[k0+r-1-i]
+            far = np.correlate(c[1 : k1 - 1], v[k0 - 2 :: -1], "valid").tolist()
+        recent = []  # the block's values, newest first, so recent[j] meets near[j]
+        for k, s in zip(range(k0, k1), far):
+            recent.insert(0, step(k, s + sum(map(operator.mul, recent, near))))
+        v[k0 - 1 : k1 - 1] = recent[::-1]
+    return v
+
+
 @dataclass(frozen=True)
 class Mollifier:
     """Smooth monotone ramp: 0 below -epsilon, 1 above +epsilon, 1/2 at 0."""
@@ -140,17 +168,29 @@ class Mollifier:
         if not 0.0 < self.epsilon < np.inf:
             raise InvalidParameter("mollifier epsilon must be positive and finite")
 
-    def ramp(self, z: float) -> float:
-        """The ramp at one point.  np.exp, not math.exp, so that the value
-        is bitwise the one numpy's array exp gives."""
+    def ramp_slope(self, z: float):
+        """The ramp and its derivative at one point.  np.exp, not math.exp,
+        so that the value is bitwise the one numpy's array exp gives."""
         t = min(max((z + self.epsilon) / (2.0 * self.epsilon), 0.0), 1.0)
         f = np.exp(-1.0 / t) if t > 0.0 else _ZERO
         g = np.exp(-1.0 / (1.0 - t)) if t < 1.0 else _ZERO
-        return float(f / (f + g))
+        r = float(f / (f + g))
+        if not 0.0 < r < 1.0:  # flat, and 1/t^2 or 1/(1-t)^2 may be infinite
+            return r, 0.0
+        u = 1.0 - t
+        return r, r * (1.0 - r) * (1.0 / (t * t) + 1.0 / (u * u)) / (2.0 * self.epsilon)
+
+    def ramp(self, z: float) -> float:
+        """The ramp at one point."""
+        return self.ramp_slope(z)[0]
 
     @pointwise
     def __call__(self, z):
-        return np.fromiter(map(self.ramp, z.tolist()), float, len(z))
+        t = np.clip((z + self.epsilon) / (2.0 * self.epsilon), 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            f = np.where(t > 0.0, np.exp(-1.0 / t), 0.0)
+            g = np.where(t < 1.0, np.exp(-1.0 / (1.0 - t)), 0.0)
+        return f / (f + g)
 
 
 @dataclass(frozen=True)
@@ -161,6 +201,9 @@ class ExtendedSolution:
     residual: float
     residual_local: np.ndarray
     epsilon_trace: tuple  # rows (epsilon, sup-change to previous level)
+    # rows (epsilon, fraction of geometric nodes in the ramp zone, max and
+    # mean Newton steps of a ramp-zone node)
+    newton_trace: tuple
 
 
 @dataclass(frozen=True)
@@ -206,7 +249,55 @@ def _relay_grid(kern: Kernel, mollifiers, b: float, h: float) -> _RelayGrid:
     return _RelayGrid(np.concatenate([band, nodes]), len(band), q, mass)
 
 
-def mollified_solve(kern: Kernel, mollifiers, b: float, h: float):
+def _relay_level(moll: Mollifier, gamma: float, x2, band, c, omega):
+    """March one level over the geometric nodes 1..n = len(c), writing
+    omega[k-1] at node k (x2[k] = x_k^2; see mollified_solve); returns
+    (fraction of the nodes in the ramp zone, max and mean Newton steps of a
+    ramp-zone node)."""
+    eps, c0, n = moll.epsilon, float(c[0]) if len(c) else 0.0, len(c)
+    phi_prev = 1.0  # the first band ends with the ramp saturated
+    zone = most = total = 0
+
+    def node(k, s):
+        """omega at node k from its history s; returns the newest panel's
+        trapezoid mean of phi = H_eps(omega)."""
+        nonlocal phi_prev, zone, most, total
+        xk2 = x2.item(k)
+        known = gamma - xk2 * (band.item(k - 1) + s)
+        c_last = xk2 * c0
+        om = known - phi_prev * c_last
+        if (om >= eps and phi_prev == 1.0) or (om <= -eps and phi_prev == 0.0):
+            phi = phi_prev
+        else:
+            half = 0.5 * c_last
+            a = known - half * phi_prev
+            lo, hi = a - half, a
+            for it in range(1, 61):
+                phi, slope = moll.ramp_slope(om)
+                f = om + half * phi - a
+                if f > 0.0:
+                    hi = om
+                else:
+                    lo = om
+                step = f / (1.0 + half * slope)
+                if not lo <= om - step <= hi:
+                    step = om - 0.5 * (lo + hi)
+                if abs(step) < 1e-12:
+                    break
+                om -= step
+            else:
+                raise PicardStall(f"node {k} did not converge (h too large for epsilon?)")
+            zone, most, total = zone + 1, max(most, it), total + it
+        omega[k - 1] = om
+        mean = 0.5 * (phi_prev + phi)
+        phi_prev = phi
+        return mean
+
+    _causal_march(c, node)
+    return zone / max(n, 1), most, total / max(zone, 1)
+
+
+def mollified_solve(kern: Kernel, mollifiers, b: float, h: float, stats=None):
     """March the mollified equation over [0, b], one row of omega per
     mollifier; returns (grid, omegas).
 
@@ -216,42 +307,30 @@ def mollified_solve(kern: Kernel, mollifiers, b: float, h: float):
     weights), kernel mass per panel exact through prefix, so the degenerate
     last panel carries its true (q - 1)^(1+sigma) weight.  The masses of node
     k are x_k^2 c_(k-1-i) for one table c_m = A(q^-m) - A(q^-(m+1)), and the
-    band adds x_k^2 (A(q^-k) - A(0)).  They do not depend on the mollifier,
-    so every level is marched in the same pass over the nodes, each with its
-    own sums.  The implicit last-node value is resolved by Picard iteration,
-    which contracts because that weight is small.
+    band adds x_k^2 (A(q^-k) - A(0)).  They do not depend on the mollifier;
+    each level is marched on its own through _causal_march.
+
+    The newest node's value solves om + (c/2) H_eps(om) = a, with c = x_k^2
+    c_0 and a the rest.  If the previous node's ramp value is 1 (or 0) and
+    om computed with it is at least eps (at most -eps), the ramp stays flat
+    and that om is the solution, bit for bit.  Elsewhere, in the ramp zone,
+    safeguarded Newton on the strictly increasing left side, bracketed by
+    [a - c/2, a], stops when a step is below 1e-12.  If stats is a list, one
+    row (fraction of geometric nodes in the ramp zone, max and mean Newton
+    steps of a ramp-zone node) per level is appended to it.
     """
     mollifiers = list(mollifiers)
     layout = _relay_grid(kern, mollifiers, b, h)
-    gamma, q, x = kern.gamma_const, layout.q, layout.grid[layout.first :]
+    gamma, x = kern.gamma_const, layout.grid[layout.first :]
     n = len(x) - 1
     omegas = np.empty((len(mollifiers), len(layout.grid)))
     omegas[:, : layout.first + 1] = gamma - layout.grid[: layout.first + 1] ** 2 * layout.mass
-    c, band = _mass_table(kern, q, n)
-    c_rev = c[::-1].copy()  # c_m at index n - 1 - m
-    # per level: trapezoid means 0.5 (phi[i] + phi[i+1]) of phi = H_eps(omega)
-    # on the geometric panels, and phi at the newest node
-    means = np.zeros((len(mollifiers), n))
-    phi_last = [1.0] * len(mollifiers)
-    for k in range(1, n + 1):
-        xk = x[k]
-        weights = c_rev[n - k : n - 1]
-        c_last = xk * xk * c_rev[-1]
-        for j, moll in enumerate(mollifiers):
-            known = xk * xk * (band[k - 1] + float(np.dot(means[j, : k - 1], weights)))
-            phi_prev = phi_k = phi_last[j]
-            om_prev = None
-            for it in range(60):
-                om = gamma - known - 0.5 * (phi_prev + phi_k) * c_last
-                phi_k = moll.ramp(om)
-                if om_prev is not None and abs(om - om_prev) < 1e-12 and it >= 2:
-                    break
-                om_prev = om
-            else:
-                raise PicardStall(f"node {k} did not contract (h too large for epsilon?)")
-            omegas[j, layout.first + k] = om
-            means[j, k - 1] = 0.5 * (phi_prev + phi_k)
-            phi_last[j] = phi_k
+    c, band = _mass_table(kern, layout.q, n)
+    x2 = x * x
+    for omega, moll in zip(omegas[:, layout.first + 1 :], mollifiers):
+        row = _relay_level(moll, gamma, x2, band, c, omega)
+        if stats is not None:
+            stats.append(row)
     return layout.grid, omegas
 
 
@@ -289,7 +368,8 @@ def extended_solve(kern: Kernel, b: float, h: float, eps_sequence) -> ExtendedSo
     ):
         raise InvalidParameter("eps_sequence must be strictly decreasing")
     mollifiers = [Mollifier(e) for e in eps_sequence]
-    grid, omegas = mollified_solve(kern, mollifiers, b, h)
+    stats = []
+    grid, omegas = mollified_solve(kern, mollifiers, b, h, stats)
     changes = [np.nan] + [float(np.max(np.abs(o2 - o1))) for o1, o2 in zip(omegas, omegas[1:])]
     omega = omegas[-1]
     rho = mollifiers[-1](omega)
@@ -302,6 +382,7 @@ def extended_solve(kern: Kernel, b: float, h: float, eps_sequence) -> ExtendedSo
         residual=float(np.max(local)),
         residual_local=local,
         epsilon_trace=tuple(zip(map(float, eps_sequence), changes)),
+        newton_trace=tuple((float(e), *row) for e, row in zip(eps_sequence, stats)),
     )
 
 
@@ -338,18 +419,17 @@ def regular_extension_solve(
     x = edges[1:]
     n = len(x)
     gamma = kern.gamma_const
-    c_rev = _mass_table(kern, q, n)[0][::-1].copy()  # c_m at index n - 1 - m
-    if x[0] * x[0] * c_rev[-1] < 1e3 * np.finfo(float).eps * max(gamma, 1.0):
-        raise SingularPanel(f"panel 1 coefficient {x[0] * x[0] * c_rev[-1]:.2e} too small")
+    c = _mass_table(kern, q, n)[0]
+    x2, c0 = x * x, float(c[0])
+    if x2[0] * c0 < 1e3 * np.finfo(float).eps * max(gamma, 1.0):
+        raise SingularPanel(f"panel 1 coefficient {x2[0] * c0:.2e} too small")
     ring_lo, ring_hi = np.transpose(history)
     # one row per ring, summed in ring order, as np.cumsum does (np.sum
     # would pair the terms)
-    hist = x * x * np.cumsum(kern.cum(ring_lo[:, None] / x, ring_hi[:, None] / x), axis=0)[-1]
-    rho = np.empty(n)
-    for j in range(1, n + 1):
-        x2 = x[j - 1] * x[j - 1]
-        prev = float(np.dot(rho[: j - 1], c_rev[n - j : n - 1]))
-        rho[j - 1] = (gamma - hist[j - 1] - x2 * prev) / (x2 * c_rev[-1])
+    hist = x2 * np.cumsum(kern.cum(ring_lo[:, None] / x, ring_hi[:, None] / x), axis=0)[-1]
+    rho = _causal_march(
+        c, lambda j, s: (gamma - hist.item(j - 1) - x2.item(j - 1) * s) / (x2.item(j - 1) * c0)
+    )
 
     # independent residual: rho is piecewise constant between known
     # discontinuities (ring boundaries, then panel edges), so integrate

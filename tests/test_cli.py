@@ -164,6 +164,16 @@ def test_extended_csv(tmp_path, synthetic_pattern):
     assert header == ["x", "omega", "rho", "residual_local"]
     assert float(meta["residual"]) < 5e-3
     assert float(rows[0][1]) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    # the march's per-level diagnostics, in the trailer after the rows
+    with open(out) as fh:
+        assert fh.read().splitlines()[-3].startswith("# ramp_zone_fraction = ")
+    fraction, most, mean = (
+        [float(v) for v in meta[key].split(",")]
+        for key in ("ramp_zone_fraction", "newton_max", "newton_mean")
+    )
+    assert len(fraction) == len(most) == len(mean) == 3
+    assert all(0.0 < f < 1.0 for f in fraction)
+    assert all(1.0 <= m <= mx <= 3.0 for m, mx in zip(mean, most))
 
 
 def test_pde_csv(tmp_path):

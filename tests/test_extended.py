@@ -150,6 +150,9 @@ def test_levels_reported(solution):
     assert all(np.isfinite(c) for c in changes)
     # successive mollification levels move the iterate less and less
     assert all(c2 < c1 for c1, c2 in zip(changes, changes[1:]))
+    assert [row[0] for row in solution.newton_trace] == eps_vals
+    for _, fraction, most, mean in solution.newton_trace:
+        assert 0.0 < fraction < 1.0 and 1.0 <= mean <= most <= 3
 
 
 def test_regular_extension(synthetic, synthetic_pattern):
@@ -246,6 +249,96 @@ def test_march_solves_the_per_node_product_integration(synthetic, synthetic_patt
         band = xk * xk * synthetic.cum(0.0, geo[0] / xk)
         expect = synthetic.gamma_const - band - float(np.dot(means[:k], masses))
         assert abs(om[k] - expect) <= 1e-10
+
+
+def _picard_march(kern, mollifiers, b, h):
+    """The relay march with a per-node dot product over the history and a
+    Picard loop on the newest node, level by level: the reference for
+    mollified_solve.  Returns omega at the geometric nodes past x0."""
+    layout = extended._relay_grid(kern, mollifiers, b, h)
+    gamma, x = kern.gamma_const, layout.grid[layout.first :]
+    n = len(x) - 1
+    c, band = extended._mass_table(kern, layout.q, n)
+    c_rev = c[::-1].copy()  # c_m at index n - 1 - m
+    omegas = np.empty((len(mollifiers), n))
+    for omega, moll in zip(omegas, mollifiers):
+        means, phi_last = np.zeros(n), 1.0
+        for k in range(1, n + 1):
+            xk = x[k]
+            known = xk * xk * (band[k - 1] + float(np.dot(means[: k - 1], c_rev[n - k : n - 1])))
+            c_last = xk * xk * c_rev[-1]
+            phi_prev = phi_k = phi_last
+            om_prev = None
+            for it in range(60):
+                om = gamma - known - 0.5 * (phi_prev + phi_k) * c_last
+                phi_k = moll.ramp(om)
+                if om_prev is not None and abs(om - om_prev) < 1e-12 and it >= 2:
+                    break
+                om_prev = om
+            else:
+                raise AssertionError(f"node {k} did not contract")
+            omega[k - 1] = om
+            means[k - 1] = 0.5 * (phi_prev + phi_k)
+            phi_last = phi_k
+    return omegas
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("sigma", [0.25, 0.4, 0.55])
+def test_march_matches_the_picard_reference(sigma, scale):
+    # the Newton node solve stops on the Picard loop's 1e-12 step test, and
+    # the blocked history sums in another order
+    kern = kernel.synthetic_kernel(sigma, scale)
+    b = 1.5 * rings.solve_pattern(kern).x_star
+    mollifiers = [extended.Mollifier(e) for e in (1.6e-2, 8e-3, 4e-3)]
+    grid, omegas = extended.mollified_solve(kern, mollifiers, b, 1e-3)
+    ref = _picard_march(kern, mollifiers, b, 1e-3)
+    assert np.max(np.abs(omegas[:, len(grid) - ref.shape[1] :] - ref)) <= 2e-12
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, extended._BLOCK - 1, extended._BLOCK, extended._BLOCK + 1, 3 * extended._BLOCK + 5]
+)
+def test_causal_march_matches_per_node_dot(n):
+    rng = np.random.default_rng(n)
+    c, values = rng.random(n), rng.random(n) - 0.5
+    seen = []
+
+    def step(k, s):
+        seen.append((k, s))
+        return values[k - 1]
+
+    assert np.array_equal(extended._causal_march(c, step), values)
+    assert [k for k, _ in seen] == list(range(1, n + 1))
+    for k, s in seen:
+        terms = values[: k - 1] * c[k - 1 : 0 : -1]  # v_i c_(k-1-i), i < k - 1
+        assert abs(s - np.dot(values[: k - 1], c[k - 1 : 0 : -1])) <= 1e-14 * np.sum(np.abs(terms))
+
+
+def test_ramp_work_is_pinned(synthetic, synthetic_pattern, monkeypatch):
+    # ramp_slope runs only at ramp-zone nodes, at most 3 times at each: a
+    # node is saturated when omega at the previous ramp value lies on the
+    # flat side that value came from
+    moll, b, h = extended.Mollifier(4e-3), 1.5 * synthetic_pattern.x_star, 1e-3
+    first = extended._relay_grid(synthetic, [moll], b, h).first
+    calls = []
+    ramp_slope = extended.Mollifier.ramp_slope
+    monkeypatch.setattr(
+        extended.Mollifier, "ramp_slope", lambda self, z: calls.append(z) or ramp_slope(self, z)
+    )
+    stats = []
+    grid, (omega,) = extended.mollified_solve(synthetic, [moll], b, h, stats)
+    [(fraction, most, mean)] = stats
+    phi = moll(omega[first:])
+    assert phi[0] == 1.0
+    prev, om = phi[:-1], omega[first + 1 :]
+    saturated = ((prev == 1.0) & (om >= moll.epsilon)) | ((prev == 0.0) & (om <= -moll.epsilon))
+    zone = int(np.count_nonzero(~saturated))
+    assert 0 < zone < len(om)
+    assert fraction == zone / len(om)
+    # one more call: _relay_grid checks the ramp at x0
+    assert len(calls) - 1 == pytest.approx(mean * zone, abs=1e-6)
+    assert 1 <= mean <= most <= 3
 
 
 def test_regular_march_solves_the_per_node_collocation(synthetic, synthetic_pattern):
