@@ -25,7 +25,7 @@ near theta = 0.  K inherits K(0) = K'(0) = 0 and K ~ k sqrt(1-theta) with
 k = sqrt(2/pi) u*/alpha.
 
 G has two evaluators.  g_eval is adaptive (one QUADPACK call in log v,
-hyp1f1) and serves scalar probes.  _g_grid, behind k_grid, gamma_const
+kummer_m) and serves scalar probes.  _g_grid, behind k_grid, gamma_const
 and the tables, uses fixed 16-point Gauss panels in v: geometric ones of
 ratio <= 4 from v_min up to v = 1, then 6 panels that widen with v up to
 the e^-46 truncation; above kappa = 8 the v^(-kappa/2) fall near v_min
@@ -261,9 +261,10 @@ def _g_grid(profile: Profile, thetas, layout=_V_LAYOUT) -> np.ndarray:
 
     Kummer's M here is kummer_series, set up once per call for |z| up to
     alpha^2/4 (zeta <= alpha on every panel): its positive series is as
-    accurate as hyp1f1 and many times cheaper per node.  The scalar path
-    (g_eval, k_eval, the table's probes) keeps hyp1f1 through
-    _psi_over_zeta3, so the probes stay an independent check of this one.
+    accurate as kummer_m and many times cheaper per node.  The scalar path
+    (g_eval, k_eval, the table's probes) calls kummer_m through
+    _psi_over_zeta3, which sums the series term by term rather than by
+    Horner, so the probes stay a separate check of this one.
     """
     t = np.asarray(thetas, dtype=float)
     out = np.zeros_like(t)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -93,6 +93,7 @@ def test_kummer_m_a_a_is_exp(a, z):
     st.floats(min_value=0.5, max_value=3.0),
     st.floats(min_value=-10.0, max_value=0.0),
 )
+@example(0.3, 3.0, -1.75)  # scipy 1.17's hyp1f1 is 1.8e-13 off here
 def test_kummer_transformation_consistency(a, db, z):
     # direct alternating series against the transformed evaluation; the
     # direct sum cancels catastrophically for large |z| (its largest term
@@ -110,6 +111,15 @@ def test_kummer_transformation_consistency(a, db, z):
     assert kummer_m(a, b, z) == pytest.approx(
         total, rel=10 * REL_TOL, abs=max(1e-13, cancel_floor)
     )
+
+
+def test_kummer_small_a_against_rational_oracle():
+    # a = 0.3, b = 3.3: scipy 1.17's hyp1f1 strays by up to 3e-12 relative
+    # for z in about [-2.6, 0); the exact rational series does not
+    for z in (-0.1, -0.5, -1.0, -1.25, -1.7, -2.5, -4.0):
+        assert kummer_m(0.3, 3.3, z) == pytest.approx(kummer_rational(0.3, 3.3, z), rel=1e-14)
+    z = np.array([-1.7, -0.25, 0.5])
+    assert np.array_equal(kummer_m(0.3, 3.3, z), [kummer_m(0.3, 3.3, x) for x in z])
 
 
 def test_erfc_at_zero():
