@@ -170,7 +170,8 @@ def cmd_profile(args) -> None:
         "u0_star_kappa0": report.u0_star_kappa0,
         "u0_star_kappa1": report.u0_star_kappa1,
     }
-    emit_csv(args.out, meta, ["eta", "phi", "psi"], zip(eta, phi, psi))
+    emit_csv(args.out, meta, ["eta", "phi", "psi"], zip(eta, phi, psi),
+             trailer={"kappa_evals": profile.kappa_evals})
     print(f"profile: kappa={profile.kappa:.12g} gamma={profile.gamma:.12g}")
 
 

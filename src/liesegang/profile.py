@@ -20,7 +20,7 @@ erfc(alpha/2).  The finite-difference scheme initializes with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
@@ -57,6 +57,8 @@ class Profile:
     kappa: float
     gamma: float
     c1: float  # prefactor of the Kummer branch, u*/(alpha^kappa M(kappa/2, kappa+1/2, -alpha^2/4))
+    # u_star_curve calls solve_kappa made: bracket, Brent iterations, residual check
+    kappa_evals: int = field(default=0, compare=False)
 
 
 def u_star_curve(params: ModelParams, kappa: float) -> float:
@@ -104,31 +106,44 @@ def check_solvability(params: ModelParams) -> SolvabilityReport:
 def solve_kappa(params: ModelParams) -> Profile:
     """Solve the eigenvalue equation for kappa > 1; gamma = kappa*(kappa-1).
 
-    Coarse geometric scan of (1, KAPPA_MAX] for a sign change, then Brent's
-    method to 4 eps relative.  Raises NoRoot when no sign change exists
-    (solvability violated) or the root leaves a residual above 1e-12.
+    u_star_curve decreases in kappa, so on a geometric grid of 240 points
+    in (1, KAPPA_MAX] the sign of u_star_curve - u_star changes at most
+    once.  Bisection over the grid indices finds that grid panel (about 8
+    evaluations, not 240), and Brent's method refines the root in it to
+    4 eps relative.  Raises NoRoot when the ends of the grid do not
+    bracket a root (solvability violated) or the root leaves a residual
+    above 1e-12.
     """
+    evals = 0
 
     def f(k: float) -> float:
+        nonlocal evals
+        evals += 1
         return u_star_curve(params, k) - params.u_star
 
     grid = 1.0 + np.geomspace(1e-9, KAPPA_MAX - 1.0, 240)
-    vals = np.array([f(k) for k in grid])
-    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(idx) == 0:
+    lo, hi = 0, len(grid) - 1
+    if not f(grid[lo]) > 0.0 > f(grid[hi]):
         raise NoRoot(
             f"no kappa root in (1, {KAPPA_MAX}]: u_star={params.u_star} "
             f"vs threshold {u_star_curve(params, 1.0):.6g}"
         )
+    while hi - lo > 1:  # invariant: f(grid[lo]) > 0 >= f(grid[hi])
+        mid = (lo + hi) // 2
+        if f(grid[mid]) > 0.0:
+            lo = mid
+        else:
+            hi = mid
     # xtol tiny: stop on the relative test (4 eps) alone
-    kappa = optimize.brentq(f, grid[idx[0]], grid[idx[0] + 1], xtol=np.finfo(float).tiny)
+    kappa = optimize.brentq(f, grid[lo], grid[hi], xtol=np.finfo(float).tiny)
     if abs(f(kappa)) > 1e-12:
         raise NoRoot("root refinement left residual above 1e-12")
     a = params.alpha
     c1 = params.u_star / (
         a**kappa * kummer_m(kappa / 2.0, kappa + 0.5, -a * a / 4.0)
     )
-    return Profile(params=params, kappa=float(kappa), gamma=float(kappa * (kappa - 1.0)), c1=float(c1))
+    return Profile(params=params, kappa=float(kappa), gamma=float(kappa * (kappa - 1.0)),
+                   c1=float(c1), kappa_evals=evals)
 
 
 @pointwise

@@ -4,6 +4,21 @@ from liesegang import degenerate, rings
 from liesegang.kernel import build_kernel_table, synthetic_kernel
 from liesegang.profile import ModelParams, solve_kappa
 
+# kappa = 46: above kernel._GEO_KAPPA, so _g_grid splits its panels
+LARGE_KAPPA_PARAMS = (2.78, 2.171, 0.172)
+# (alpha, beta, u*) with kappa on both sides of 2, and the last at 46
+SOURCE_IDENTITY_POINTS = [
+    (1.0, 1.0, 0.2),
+    (1.0, 1.0, 0.15),
+    (0.8, 1.0, 0.1),
+    (0.8, 1.0, 0.2),
+    (1.3, 1.0, 0.1),
+    (1.3, 1.0, 0.2),
+    (1.0, 0.7, 0.12),
+    (1.0, 1.5, 0.25),
+    LARGE_KAPPA_PARAMS,
+]
+
 
 @pytest.fixture(scope="session")
 def params02():

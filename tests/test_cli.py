@@ -9,6 +9,7 @@ import pytest
 from liesegang import rings
 from liesegang.cli import dispatch, load_kernel_file
 from liesegang.kernel import MAX_TABLE_POINTS
+from liesegang.profile import ModelParams, solve_kappa
 
 
 def read_rows(path):
@@ -80,6 +81,17 @@ def test_profile_csv(tmp_path):
     assert len(rows) == 51
     assert float(meta["kappa"]) == pytest.approx(1.76960, abs=1e-4)
     assert float(meta["u0_star_kappa0"]) == pytest.approx(0.5456413607, abs=1e-9)
+
+
+def test_profile_trailer_reports_kappa_evals(tmp_path):
+    # the solve's u_star_curve count follows the rows as a '#' trailer
+    out = tmp_path / "profile.csv"
+    assert dispatch(["profile", "--ustar", "0.2", "--n", "5", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    evals = solve_kappa(ModelParams(1.0, 1.0, 0.2)).kappa_evals
+    assert lines[-1] == f"# kappa_evals = {evals}"
+    assert lines[-7] == "eta,phi,psi"
+    assert 0 < evals <= 30
 
 
 def test_determinism(tmp_path):

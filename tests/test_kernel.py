@@ -12,6 +12,8 @@ from liesegang.profile import (
     ModelParams, check_solvability, phi_eval, psi_at_source, solve_kappa,
 )
 
+from .conftest import LARGE_KAPPA_PARAMS, SOURCE_IDENTITY_POINTS
+
 
 def raw_gauss_jacobi_g(profile, theta, tol=1e-10):
     """Oracle: the unsubstituted density integral with the endpoint
@@ -34,6 +36,22 @@ def raw_gauss_jacobi_g(profile, theta, tol=1e-10):
         epsabs=0.0, epsrel=tol, limit=400,
     )
     return val
+
+
+def small_theta_coefficient(profile):
+    """Oracle: coefficient A of the near-zero law G ~ A |theta|^(kappa-2),
+    1 < kappa < 2, in closed form
+
+        A = C1 alpha^(kappa-1)/sqrt(pi) int_0^1 exp(-alpha^2/(4 s^2)) (1-s^2)^(-kappa/2) ds.
+    """
+    k = profile.kappa
+    assert 1.0 < k < 2.0
+    alpha = profile.params.alpha
+    val, _ = integrate.quad(
+        lambda s: np.exp(-alpha * alpha / (4.0 * s * s)) * (1.0 + s) ** (-k / 2.0),
+        0.0, 1.0, weight="alg", wvar=(0.0, -k / 2.0), epsabs=0.0, epsrel=1e-11, limit=400,
+    )
+    return profile.c1 * alpha ** (k - 1.0) / np.sqrt(np.pi) * val
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +160,7 @@ def test_g_small_theta_power_law(profile02):
     # kappa in (1, 2): G = A |theta|^(kappa-2) + O(1), so the scaled values
     # converge like theta^(2-kappa); two-point extrapolation in that power
     # recovers the closed-form coefficient
-    a_coeff = kn.small_theta_coefficient(profile02)
+    a_coeff = small_theta_coefficient(profile02)
     k = profile02.kappa
     t1, t2 = 1e-7, 1e-8
     s1 = kn.g_eval(profile02, t1, 1e-11) / t1 ** (k - 2.0)
@@ -169,8 +187,6 @@ def test_k_dual_route(profile015):
     assert abs(raw - sub) < 1e-7
 
 
-# kappa = 46: above kernel._GEO_KAPPA, so _g_grid splits its panels
-LARGE_KAPPA_PARAMS = (2.78, 2.171, 0.172)
 # kappa = 5.22: at theta = SINGLE_PANEL_THETA, one QUADPACK panel across
 # v = 1 in log v reports 3e-12 on a value 4.5e-10 off
 SINGLE_PANEL_PARAMS = (0.7071276517545955, 1.4888463614081064, 0.0655739756998827)
@@ -317,6 +333,22 @@ def test_gamma_gap_sees_the_v_layout(monkeypatch, profile02, layout):
         kn.gamma_const(profile02, 1e-9)
 
 
+def test_gamma_work_is_pinned(monkeypatch, profile02):
+    # each level integrates 2 signs x (geometric + upper-half panels) x 16
+    # nodes, plus the matching point t0: 32 + 16 panels at the fine level,
+    # 16 + 8 at the coarse one (60 + 16 and 30 + 8 would be 3652 points)
+    points = []
+    g_grid = kn._g_grid
+
+    def counting_g_grid(profile, thetas, *layout):
+        points.append(np.size(thetas))
+        return g_grid(profile, thetas, *layout)
+
+    monkeypatch.setattr(kn, "_g_grid", counting_g_grid)
+    kn.gamma_const(profile02, 1e-9)
+    assert 0 < sum(points) <= 2 * ((48 * 16 + 1) + (24 * 16 + 1))
+
+
 def test_gamma_const_graded_vs_cutoff_extrapolation(profile02):
     gam = kn.gamma_const(profile02, 1e-9)
     # plain adaptive quadrature with interior cutoffs 10^-k, extrapolated
@@ -342,20 +374,7 @@ def test_gamma_const_graded_vs_cutoff_extrapolation(profile02):
     assert gam == pytest.approx(extrap, abs=1e-6)
 
 
-@pytest.mark.parametrize(
-    "alpha, beta, u_star",
-    [
-        (1.0, 1.0, 0.2),
-        (1.0, 1.0, 0.15),
-        (0.8, 1.0, 0.1),
-        (0.8, 1.0, 0.2),
-        (1.3, 1.0, 0.1),
-        (1.3, 1.0, 0.2),
-        (1.0, 0.7, 0.12),
-        (1.0, 1.5, 0.25),
-        LARGE_KAPPA_PARAMS,
-    ],
-)
+@pytest.mark.parametrize("alpha, beta, u_star", SOURCE_IDENTITY_POINTS)
 def test_gamma_const_positive_and_matches_source_identity(alpha, beta, u_star):
     # the precipitation-free self-similar solution gives the exact identity
     # Gamma = Psi(alpha) - u*; the points put kappa on both sides of 2,
@@ -364,6 +383,14 @@ def test_gamma_const_positive_and_matches_source_identity(alpha, beta, u_star):
     gam = kn.gamma_const(prof, 1e-9)
     assert gam > 0
     assert gam == pytest.approx(psi_at_source(prof.params) - u_star, abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha, beta, u_star", SOURCE_IDENTITY_POINTS)
+def test_gamma_const_meets_the_tightest_tolerance(alpha, beta, u_star):
+    # the CLI accepts --quad-tol down to QUAD_TOL_MIN, where the gap check
+    # compares the two levels at its 1e-12 floor
+    prof = solve_kappa(ModelParams(alpha, beta, u_star))
+    assert kn.gamma_const(prof, kn.QUAD_TOL_MIN) > 0.0
 
 
 # each example builds a table and its Gamma (0.1-0.4 s, over 1 s at large

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 from scipy.integrate import solve_ivp
 
+from liesegang import profile as pr
 from liesegang.errors import InvalidParameter, NoRoot
 from liesegang.profile import (
+    KAPPA_MAX,
     ModelParams,
     check_solvability,
     phi_eval,
@@ -13,6 +18,8 @@ from liesegang.profile import (
     threshold_candidates,
     u_star_curve,
 )
+
+from .conftest import SOURCE_IDENTITY_POINTS
 
 # frozen oracle values, alpha = beta = 1
 U0_KAPPA0 = 0.5456413607650469  # (sqrt(pi)/2) e^(1/4) erfc(1/2)
@@ -36,6 +43,59 @@ def test_kappa_root_with_scan_oracle(params02, profile02):
     lo, hi = ks[idx[0]], ks[idx[0] + 1]
     assert lo <= profile02.kappa <= hi
     assert abs(u_star_curve(params02, profile02.kappa) - 0.2) < 1e-10
+
+
+def _scan_grid():
+    return 1.0 + np.geomspace(1e-9, KAPPA_MAX - 1.0, 240)
+
+
+def _full_scan_kappa(params):
+    """Reference: every scan point, the first sign change, then brentq."""
+
+    def f(k):
+        return u_star_curve(params, k) - params.u_star
+
+    grid = _scan_grid()
+    vals = np.array([f(k) for k in grid])
+    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    return optimize.brentq(f, grid[idx[0]], grid[idx[0] + 1], xtol=np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("alpha, beta, u_star", SOURCE_IDENTITY_POINTS)
+def test_kappa_bisection_matches_full_scan(monkeypatch, alpha, beta, u_star):
+    # bisection over the grid finds the scan's own bracket, so brentq's
+    # iterates and kappa are bitwise the same, at a tenth of the calls
+    params = ModelParams(alpha, beta, u_star)
+    reference = _full_scan_kappa(params)
+    calls = []
+
+    def counting_curve(p, k):
+        calls.append(k)
+        return u_star_curve(p, k)
+
+    monkeypatch.setattr(pr, "u_star_curve", counting_curve)
+    prof = solve_kappa(params)
+    assert prof.kappa == reference
+    assert len(calls) == prof.kappa_evals <= 30
+
+
+def test_kappa_at_a_grid_point_is_returned():
+    # a u* that puts the root exactly on a scan point: the scan saw no
+    # strict sign change there, the bisection brackets it
+    params = ModelParams(1.0, 1.0, 0.2)
+    k = _scan_grid()[100]
+    on_grid = ModelParams(1.0, 1.0, u_star_curve(params, k))
+    assert solve_kappa(on_grid).kappa == k
+
+
+# bisection's premise: the curve decreases strictly in kappa; beta only
+# scales it
+@settings(max_examples=40, deadline=None, derandomize=True, phases=(Phase.generate,))
+@given(st.floats(min_value=0.05, max_value=6.0))
+def test_u_star_curve_decreases_on_scan_grid(alpha):
+    params = ModelParams(alpha, 1.0, 0.2)
+    vals = np.array([u_star_curve(params, k) for k in _scan_grid()])
+    assert np.all(np.diff(vals) < 0.0)
 
 
 def test_gamma_relation(profile02):
