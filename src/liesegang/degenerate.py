@@ -277,7 +277,7 @@ class DegenerateConstruction:
     theta_breaks: tuple = ()  # kink/cusp locations of K_hat, for samplers
 
 
-def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateConstruction:
+def fill_head(template: Kernel, partial: PartialKernel) -> DegenerateConstruction:
     """Head construction on [0, r) and assembly of the full kernel K_hat.
 
     Choose the smallest tail power n with
@@ -290,7 +290,7 @@ def fill_head(template: Kernel, partial: PartialKernel, r: float) -> DegenerateC
     from one polynomial per bump, so int K_hat meets int K* to rounding.
     """
     gamma = template.gamma_const
-    bridge = partial.bridge
+    bridge, r = partial.bridge, partial.r
     total_k = template.cum(0.0, 1.0)
     mass_k = total_k - partial.int_k
     mass_g = gamma - partial.int_g
@@ -407,7 +407,7 @@ def construct_degenerate(template: Kernel | None = None) -> DegenerateConstructi
     template = template or default_template()
     x1, x2 = template_zeros(template)
     partial = choose_epsilon(template, x1, x2)
-    cons = fill_head(template, partial, partial.r)
+    cons = fill_head(template, partial)
 
     # mass identities must hold by construction; verify to 1e-8 with the
     # head contribution in closed form and the K_eps region independently

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the positivity check."""
+
+import math
 
 
 class LiesegangError(Exception):
@@ -23,10 +25,6 @@ class SingularAtZero(LiesegangError):
 
 class AmbiguousContinuation(LiesegangError):
     """Both sign hypotheses are self-consistent past a zero."""
-
-
-class InsufficientData(LiesegangError):
-    """Not enough recorded widths to extrapolate an accumulation point."""
 
 
 class TangentialTemplate(LiesegangError):
@@ -63,3 +61,10 @@ class PicardStall(LiesegangError):
 
 class SingularPanel(LiesegangError):
     """A first-kind panel coefficient is too small to divide by."""
+
+
+def require_positive(**values) -> None:
+    """Raise InvalidParameter unless each value lies in (0, inf); NaN fails."""
+    for name, v in values.items():
+        if not 0.0 < v < math.inf:
+            raise InvalidParameter(f"{name} must be positive and finite, got {v}")

@@ -180,10 +180,6 @@ class Mollifier:
         u = 1.0 - t
         return r, r * (1.0 - r) * (1.0 / (t * t) + 1.0 / (u * u)) / (2.0 * self.epsilon)
 
-    def ramp(self, z: float) -> float:
-        """The ramp at one point."""
-        return self.ramp_slope(z)[0]
-
     @pointwise
     def __call__(self, z):
         t = np.clip((z + self.epsilon) / (2.0 * self.epsilon), 0.0, 1.0)
@@ -240,7 +236,7 @@ def _relay_grid(kern: Kernel, mollifiers, b: float, h: float) -> _RelayGrid:
         )
     mass = float(kern.cum(0.0, 1.0))
     x0 = min(np.sqrt((gamma - max(gamma / 16.0, min(2.0 * eps, 0.5 * (gamma + eps)))) / mass), b)
-    if any(m.ramp(gamma - x0 * x0 * mass) != 1.0 for m in mollifiers):
+    if any(m.ramp_slope(gamma - x0 * x0 * mass)[0] != 1.0 for m in mollifiers):
         raise InvalidParameter(f"the ramp is not saturated at the first band's end x0 = {x0:.6g}")
     if not x0 <= MAX_NODES * h:
         raise InvalidParameter(f"the first band [0, {x0:.6g}] needs over {MAX_NODES} steps of h")

@@ -55,7 +55,7 @@ import numpy as np
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 
-from .errors import InvalidParameter, QuadratureFailure, SingularAtZero
+from .errors import InvalidParameter, QuadratureFailure, SingularAtZero, require_positive
 from .profile import Profile
 from .specfun import SQRT_PI, kummer_m, kummer_series, pointwise
 
@@ -131,8 +131,7 @@ def synthetic_kernel(sigma: float, scale: float) -> Kernel:
     """
     if not 0.0 < sigma < SIGMA_MAX:
         raise InvalidParameter(f"sigma must lie in (0, {SIGMA_MAX:.6f}), got {sigma}")
-    if not 0.0 < scale < np.inf:
-        raise InvalidParameter(f"scale must be positive and finite, got {scale}")
+    require_positive(scale=scale)
 
     @pointwise
     def prefix(theta):

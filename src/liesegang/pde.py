@@ -221,9 +221,9 @@ class PdeRun:
     state: PdeState
 
 
-def run(config: PdeConfig, initial: str = "psi") -> PdeRun:
-    """March to s_max recording the source-line trace and snapshots."""
-    state = init(config, initial=initial)
+def run(config: PdeConfig) -> PdeRun:
+    """March to s_max from w = Psi - Phi recording the trace and snapshots."""
+    state = init(config)
     n_steps = config.n_steps
     cadence = max(1, int(np.ceil(config.s_max / (100.0 * config.ds))))
     s_out = np.empty(n_steps)

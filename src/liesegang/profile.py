@@ -25,19 +25,22 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .errors import InvalidParameter, NoRoot
-from .specfun import SQRT_PI, erfc, kummer_m, pointwise
+from .errors import InvalidParameter, NoRoot, require_positive
+from .specfun import SQRT_PI, Z_DOMAIN, erfc, kummer_m, pointwise
 
 KAPPA_MAX = 50.0
+# solve_kappa's scan grid in (1, KAPPA_MAX]; its ends are the solvable bracket
+KAPPA_GRID = 1.0 + np.geomspace(1e-9, KAPPA_MAX - 1.0, 240)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters: source slope alpha, strength beta, threshold u_star.
 
-    All three must be positive.  Whether the eigenvalue problem is solvable
-    for these values is checked when a Profile is constructed (solve_kappa)
-    and can be queried without raising via check_solvability.
+    All three must be positive and finite, and alpha^2/4 must stay in
+    kummer_m's domain.  Whether the eigenvalue problem is solvable for these
+    values is checked when a Profile is constructed (solve_kappa) and can be
+    queried without raising via check_solvability.
     """
 
     alpha: float
@@ -45,8 +48,9 @@ class ModelParams:
     u_star: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0 and self.u_star > 0):
-            raise InvalidParameter(f"parameters must be positive, got {self}")
+        require_positive(alpha=self.alpha, beta=self.beta, u_star=self.u_star)
+        if self.alpha * self.alpha / 4.0 > Z_DOMAIN:
+            raise InvalidParameter(f"alpha must satisfy alpha^2/4 <= {Z_DOMAIN}, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +101,11 @@ class SolvabilityReport:
 
 
 def check_solvability(params: ModelParams) -> SolvabilityReport:
-    """True iff solve_kappa would find a root kappa in (1, KAPPA_MAX]."""
+    """solvable iff the ends of solve_kappa's grid, which starts just above
+    kappa = 1, bracket a root (so just below u0_star_kappa1 is not)."""
     at_zero, at_one = threshold_candidates(params)
-    solvable = u_star_curve(params, KAPPA_MAX) < params.u_star < at_one
+    lo, hi = KAPPA_GRID[0], KAPPA_GRID[-1]
+    solvable = u_star_curve(params, hi) < params.u_star < u_star_curve(params, lo)
     return SolvabilityReport(bool(solvable), at_zero, at_one)
 
 
@@ -121,7 +127,7 @@ def solve_kappa(params: ModelParams) -> Profile:
         evals += 1
         return u_star_curve(params, k) - params.u_star
 
-    grid = 1.0 + np.geomspace(1e-9, KAPPA_MAX - 1.0, 240)
+    grid = KAPPA_GRID
     lo, hi = 0, len(grid) - 1
     if not f(grid[lo]) > 0.0 > f(grid[hi]):
         raise NoRoot(

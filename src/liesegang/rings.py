@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 from scipy import optimize
 
-from .errors import AmbiguousContinuation, InsufficientData, InvalidParameter
+from .errors import AmbiguousContinuation, InvalidParameter, require_positive
 from .kernel import SIGMA_MAX, Kernel
 from .specfun import pointwise
 
@@ -96,13 +96,6 @@ def omega_eval(kern: Kernel, zeros, x):
     return out
 
 
-def _require_positive(**values) -> None:
-    """Raise InvalidParameter unless each value lies in (0, inf); NaN fails."""
-    for name, v in values.items():
-        if not 0.0 < v < np.inf:
-            raise InvalidParameter(f"{name} must be positive and finite, got {v}")
-
-
 def _band_value(x, kern: Kernel, zeros) -> float:
     """omega at a scalar x, for brentq: kern and zeros go through args=, as a
     closure over them would keep the kernel alive until a full collection."""
@@ -120,7 +113,7 @@ def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
     extends beyond it, or widths fell below resolution).  Raises
     InvalidParameter when the scan would take over MAX_SCAN_POINTS points.
     """
-    _require_positive(scan_step=scan_step, root_tol=root_tol, horizon=horizon)
+    require_positive(scan_step=scan_step, root_tol=root_tol, horizon=horizon)
     last = zeros[-1] if zeros else 0.0
     n = len(zeros) - 1  # index of the open band
     band_sign = (-1.0) ** n
@@ -178,7 +171,7 @@ def classify_continuation(kern: Kernel, zeros, delta_probe: float,
     """
     if len(zeros) < 2:
         raise InvalidParameter("need at least one positive zero to classify")
-    _require_positive(delta_probe=delta_probe)
+    require_positive(delta_probe=delta_probe)
     last = zeros[-1]
     n = len(zeros) - 1  # band index just past the zero
     with_toggle = list(zeros)
@@ -255,6 +248,8 @@ def q_star(sigma: float) -> float:
 
 
 def _extrapolate(zeros, q_bound: float) -> float:
+    """Accumulation point x_last + d_last q/(1-q), q the geometric mean of
+    the last three ratios clamped to q_bound."""
     widths = np.diff(zeros)
     ratios = widths[1:] / widths[:-1]
     q_hat = float(np.exp(np.mean(np.log(ratios[-3:]))))
@@ -262,18 +257,6 @@ def _extrapolate(zeros, q_bound: float) -> float:
     if q_hat >= 1.0:
         return float(zeros[-1])
     return float(zeros[-1] + widths[-1] * q_hat / (1.0 - q_hat))
-
-
-def estimate_accumulation(pattern: RingPattern) -> float:
-    """Geometric extrapolation of the accumulation point.
-
-    x* = x_last + d_last * q/(1-q) with q the geometric mean of the last
-    three ratios, clamped to the theoretical bound.
-    """
-    if (pattern.classification is not Classification.NON_DEGENERATE_ACCUMULATION
-            or len(pattern.widths) < 4):
-        raise InsufficientData("need an accumulation pattern with >= 4 widths")
-    return _extrapolate(np.asarray(pattern.zeros), pattern.q_star_bound)
 
 
 def solve_pattern(
@@ -296,7 +279,7 @@ def solve_pattern(
     root_tol = 1e-12 * x1_scale if root_tol is None else root_tol
     min_width = 1e-9 * x1_scale if min_width is None else min_width
     horizon = 20.0 * x1_scale if horizon is None else horizon
-    _require_positive(
+    require_positive(
         min_width=min_width, horizon=horizon, scan_step=scan_step, root_tol=root_tol
     )
     if max_zeros < 1:

@@ -4,15 +4,15 @@
 argument: a float for a scalar, an array of the same shape for an array.
 kummer_m and erfc keep the library's domain checks.  erfc wraps
 scipy.special.erfc.  kummer_m sums Kummer's transformed, non-negative
-series for z <= 0 and 0 <= a <= b (point by point, or as arrays from
-_LOOP_POINTS points up, bitwise the same), and wraps scipy.special.hyp1f1
-elsewhere: hyp1f1 (scipy 1.17) is off by 1.6e-12 relative at a = 0.3,
-b = 3.3, z = -1.7, where the series is within a few eps.  Both agree with
-exact-series and quadrature oracles to about 1e-15 relative on the
-library's domain (a = kappa/2 or kappa/2 + 1, b = kappa + 1/2, z in
-[-12.5, 0]).  kummer_series evaluates M(a, b, .) on one fixed interval
-[-z_max, 0] from a power series set up once per interval; the derived
-kernel's fixed-rule quadrature uses it for its millions of nodes.
+series point by point for z <= 0 and 0 <= a <= b, and wraps
+scipy.special.hyp1f1 elsewhere: hyp1f1 (scipy 1.17) is off by 1.6e-12
+relative at a = 0.3, b = 3.3, z = -1.7, where the series is within a few
+eps.  Both agree with exact-series and quadrature oracles to about 1e-15
+relative on the library's domain (a = kappa/2 or kappa/2 + 1,
+b = kappa + 1/2, z in [-12.5, 0]).  kummer_series evaluates M(a, b, .)
+on one fixed interval [-z_max, 0] from a power series set up once per
+interval; the derived kernel's fixed-rule quadrature uses it for its
+millions of nodes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import InvalidParameter
 
 SQRT_PI = float(np.sqrt(np.pi))
 
-_Z_DOMAIN = 50.0  # argument cap; callers stay well inside
+Z_DOMAIN = 50.0  # argument cap; callers stay well inside
 _EPS = float(np.finfo(float).eps)
 
 
@@ -48,11 +48,8 @@ def pointwise(fn):
 def _check_b_and_z(b: float, z) -> None:
     if b <= 0 and float(b).is_integer():
         raise InvalidParameter(f"b must not be a non-positive integer, got b={b}")
-    if not (np.abs(z) <= _Z_DOMAIN).all():  # also rejects NaN
-        raise InvalidParameter(f"|z| exceeds supported domain {_Z_DOMAIN}")
-
-
-_LOOP_POINTS = 128  # below this many points the per-point loops beat the array sums
+    if not (np.abs(z) <= Z_DOMAIN).all():  # also rejects NaN
+        raise InvalidParameter(f"|z| exceeds supported domain {Z_DOMAIN}")
 
 
 def _kummer_transformed(a: float, b: float, z: float) -> float:
@@ -60,8 +57,7 @@ def _kummer_transformed(a: float, b: float, z: float) -> float:
 
     The terms of M(b - a, b, w), w = -z, are non-negative and summed in
     order; the sum stops on kummer_series's rule (last term below eps/4
-    of the sum, later term ratios at most 1/2).  Python floats and
-    math.exp keep an array's points bitwise equal to scalar calls.
+    of the sum, later term ratios at most 1/2).
     """
     c, w = b - a, -z
     term = total = 1.0
@@ -73,50 +69,16 @@ def _kummer_transformed(a: float, b: float, z: float) -> float:
     return math.exp(z) * total
 
 
-def _kummer_transformed_array(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """_kummer_transformed at each point of z, bitwise, as array sums.
-
-    The terms are summed in the same operation order; a point leaves the
-    arrays at the n where its stop rule holds, and e^z is math.exp per
-    point.  It costs about 0.8 ms and then 1 us a point, against about
-    10 us a point for the scalar loop (2000 points at kappa 1 to 46:
-    2 ms against 12-20 ms).
-    """
-    c = b - a
-    sums = np.empty(z.shape)
-    idx = np.arange(z.size)
-    w = -z
-    term = np.ones(z.shape)
-    total = np.ones(z.shape)
-    n = 0
-    while idx.size:
-        done = (term <= 0.25 * _EPS * total) & (w <= 0.5 * (n + 1))
-        if done.any():
-            sums[idx[done]] = total[done]
-            live = ~done
-            idx, w, term, total = idx[live], w[live], term[live], total[live]
-        term *= (c + n) * w / ((b + n) * (n + 1))
-        total += term
-        n += 1
-    return np.array([math.exp(x) for x in z.tolist()]) * sums
-
-
 @pointwise
 def kummer_m(a: float, b: float, z):
     """Kummer's confluent hypergeometric function M(a, b, z), |z| <= 50."""
     _check_b_and_z(b, z)
     if not 0.0 <= a <= b:
         return special.hyp1f1(a, b, z)
-    if z.size < _LOOP_POINTS:
-        return np.array([
-            _kummer_transformed(a, b, x) if x <= 0.0 else float(special.hyp1f1(a, b, x))
-            for x in z.tolist()
-        ])
-    out = np.empty(z.shape)
-    neg = z <= 0.0
-    out[neg] = _kummer_transformed_array(a, b, z[neg])
-    out[~neg] = special.hyp1f1(a, b, z[~neg])
-    return out
+    return np.array([
+        _kummer_transformed(a, b, x) if x <= 0.0 else float(special.hyp1f1(a, b, x))
+        for x in z.tolist()
+    ])
 
 
 def kummer_series(a: float, b: float, z_max: float):

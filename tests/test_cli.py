@@ -56,6 +56,11 @@ def test_profile_no_root_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_huge_finite_beta_exits_three(tmp_path):
+    # finite and positive, so not an input error: the kappa bracket fails
+    assert dispatch(["profile", "--beta", "1e300", "--out", str(tmp_path / "p.csv")]) == 3
+
+
 def test_invalid_parameter_exit_code(tmp_path):
     rc = dispatch([
         "rings", "--kernel", "synthetic", "--sigma", "0.9",
@@ -281,6 +286,32 @@ def test_rings_nan_tuning_flag_exits_two(tmp_path, capsys, flag):
         ["rings", flag, "nan", "--out", str(tmp_path / "r.csv")], capsys
     )
     assert flag[2:].replace("-", "_") in err
+
+
+MODEL_FLAG_NAMES = {"--alpha": "alpha", "--beta": "beta", "--ustar": "u_star"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command in ("profile", "kernel", "pde", "compare")
+        for flag, values in (
+            ("--alpha", ("inf", "nan", "0", "-1", "60")),
+            ("--beta", ("inf", "nan", "0", "-1")),
+            ("--ustar", ("inf", "nan", "0", "-1")),
+        )
+        for value in values
+    ],
+)
+def test_model_parameter_rejected_by_name(tmp_path, capsys, recwarn, command, flag, value):
+    # alpha = 60 leaves kummer_m's domain (alpha^2/4 <= 50); each rejection
+    # comes before any numpy call, so nothing warns on the way
+    err = assert_input_error(
+        [command, f"{flag}={value}", "--out", str(tmp_path / "o.csv")], capsys
+    )
+    assert MODEL_FLAG_NAMES[flag] in err
+    assert len(recwarn) == 0
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,36 @@ def test_check_solvability(params02):
     assert not check_solvability(ModelParams(1.0, 1.0, 10.0)).solvable
 
 
+def test_solvability_sliver_below_kappa_one():
+    # between u_star_curve(1 + 1e-9) and u_star_curve(1): below the reported
+    # kappa = 1 threshold, but the scan grid brackets no root
+    params = ModelParams(1.0, 1.0, 0.28400626153195696)
+    rep = check_solvability(params)
+    assert params.u_star < rep.u0_star_kappa1
+    assert not rep.solvable
+    with pytest.raises(NoRoot):
+        solve_kappa(params)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, phases=(Phase.generate,))
+@given(
+    st.floats(min_value=0.05, max_value=6.0),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.sampled_from([1.0, 1.0 + 5e-10, float(_scan_grid()[0]), 1.7, KAPPA_MAX]),
+    st.floats(min_value=-1e-9, max_value=1e-9),
+)
+def test_check_solvability_agrees_with_solve_kappa(alpha, beta, kappa, shift):
+    # u* drawn next to the bracket's ends, where the two could disagree
+    params = ModelParams(alpha, beta, 1.0)
+    params = ModelParams(alpha, beta, u_star_curve(params, kappa) * (1.0 + shift))
+    try:
+        solve_kappa(params)
+        solved = True
+    except NoRoot:
+        solved = False
+    assert check_solvability(params).solvable == solved
+
+
 def test_phi_internal_boundary(profile02):
     assert phi_eval(profile02, 1.0) == pytest.approx(0.2, rel=1e-12)
 

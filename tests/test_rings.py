@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesegang import rings
-from liesegang.errors import InsufficientData, InvalidParameter
+from liesegang.errors import InvalidParameter
 from liesegang.kernel import SIGMA_MAX, synthetic_kernel
 
 X1_EXACT = np.sqrt(70.0) / 4.0  # root of 2/3 = x^2 * 16/105
@@ -256,28 +256,29 @@ def test_q_star_rejects_bad_sigma():
         rings.q_star(0.6)
 
 
-def test_estimate_accumulation_geometric_exact(synthetic_pattern):
+def test_extrapolate_geometric_exact():
     # a purely geometric tail must extrapolate to the exact series limit
     q = 0.3
     widths = [1.0 * q**k for k in range(6)]
     zeros = [0.0] + list(np.cumsum(widths))
-    pat = rings.RingPattern(
-        zeros=tuple(zeros),
-        widths=tuple(widths),
-        ratios=tuple([q] * 5),
-        classification=rings.Classification.NON_DEGENERATE_ACCUMULATION,
-        x_star=0.0,
-        q_star_bound=rings.q_star(0.5),
-    )
     expect = zeros[-1] + widths[-1] * q / (1.0 - q)
-    assert rings.estimate_accumulation(pat) == pytest.approx(expect, rel=1e-12)
+    got = rings._extrapolate(np.asarray(zeros), rings.q_star(0.5))
+    assert got == pytest.approx(expect, rel=1e-12)
     assert expect == pytest.approx(1.0 / (1.0 - q), rel=1e-12)
 
 
-def test_estimate_accumulation_needs_data(synthetic):
-    pat = rings.solve_pattern(synthetic, max_zeros=2)
-    with pytest.raises(InsufficientData):
-        rings.estimate_accumulation(pat)
+@pytest.mark.parametrize("min_width, n_zeros", [(3.0, 1), (1.5, 2), (0.01, 3), (0.005, 4)])
+def test_accumulation_point_needs_five_zeros(synthetic, min_width, n_zeros):
+    # widths 2.09, 1.19, 0.0076, 0.0031: a band below min_width ends the
+    # pattern, and x* is extrapolated only from four positive zeros up
+    pat = rings.solve_pattern(synthetic, min_width=min_width)
+    assert pat.classification is rings.Classification.NON_DEGENERATE_ACCUMULATION
+    assert len(pat.zeros) - 1 == n_zeros
+    if n_zeros < 4:
+        assert pat.x_star == pat.zeros[-1]
+    else:
+        assert pat.x_star == rings._extrapolate(np.asarray(pat.zeros), pat.q_star_bound)
+        assert pat.x_star > pat.zeros[-1]
 
 
 def test_accumulation_window_stability(synthetic_pattern):
