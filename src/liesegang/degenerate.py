@@ -49,10 +49,14 @@ def template_zeros(template: Kernel) -> tuple[float, float]:
     x1 = float(np.sqrt(template.gamma_const / template.cum(0.0, 1.0)))
     value, _ = _omega_star(template, x1)
     lo, hi = x1 * 1.0001, x1 * 1.5
+    no_zero = InvalidParameter(f"no second zero found for template with sigma={template.sigma}")
+    # at small sigma the first gap ends before lo (synthetic: below 0.0483)
+    if not value(lo) < 0:
+        raise no_zero
     while value(hi) < 0:
         hi *= 1.5
         if hi > 1e6 * x1:
-            raise InvalidParameter("no second zero found for template")
+            raise no_zero
     return x1, optimize.brentq(value, lo, hi, xtol=np.finfo(float).tiny)  # 4 eps relative
 
 
@@ -411,16 +415,18 @@ def construct_degenerate(template: Kernel | None = None) -> DegenerateConstructi
 
     # mass identities must hold by construction; verify to 1e-8 with the
     # head contribution in closed form and the K_eps region independently
-    # quadratured in kernel_from_bridge
+    # quadratured in kernel_from_bridge; a NaN (an overflowing scale) fails
     total_k = template.cum(0.0, 1.0)
     got_k = cons.result.cum(0.0, 1.0)
-    if abs(got_k - total_k) > 1e-8:
-        raise VerificationFailed(f"kernel mass mismatch {got_k - total_k:.2e}")
+    if not abs(got_k - total_k) <= 1e-8:
+        raise VerificationFailed(
+            f"{template.label}: kernel mass mismatch {got_k - total_k:.2e}"
+        )
     head_g = cons.k_star / cons.r_star**2 + partial.g_at_r * cons.r / (cons.n_power + 1.0)
     g_int = head_g + partial.int_g
-    if abs(g_int - template.gamma_const) > 1e-8:
+    if not abs(g_int - template.gamma_const) <= 1e-8:
         raise VerificationFailed(
-            f"Gamma identity mismatch {g_int - template.gamma_const:.2e}"
+            f"{template.label}: Gamma identity mismatch {g_int - template.gamma_const:.2e}"
         )
     return cons
 

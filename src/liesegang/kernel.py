@@ -25,19 +25,15 @@ near theta = 0.  K inherits K(0) = K'(0) = 0 and K ~ k sqrt(1-theta) with
 k = sqrt(2/pi) u*/alpha.
 
 G has two evaluators.  g_eval is adaptive (one QUADPACK call in log v,
-kummer_m) and serves scalar probes.  _g_grid, behind k_grid, gamma_const
-and the tables, uses fixed 16-point Gauss panels in v: geometric ones of
-ratio <= 4 from v_min up to v = 1, then 6 panels that widen with v up to
-the e^-46 truncation; above kappa = 8 the v^(-kappa/2) fall near v_min
-gets ceil(kappa/8) times the panels.  At g_eval's quad_tol = 1e-11 the
-two agree to 1e-13 relative from kappa = 1.8 to 46 with theta down to
-1e-10 and up to 1 - 1e-12, and to 1.3e-12 over 90 random profiles with
-alpha and beta in [0.3, 3] (worst at |theta| ~ 1e-7, kappa 7.5).
-gamma_const integrates G on 32 geometric theta panels (ratio 2) over
-[1e-10, 1/2] and estimates its error from a coarse level with 16 panels
-(ratio 4) and the coarse v-layout.  Against 240 panels, over 46 profiles
-with kappa 1.1 to 48, both levels are within 1e-14 relative on that
-range; 10 panels would be off by up to 3e-10.
+kummer_m) and serves scalar probes.  _g_grid, behind k_grid and the
+tables, uses fixed 16-point Gauss panels in v: geometric ones of ratio
+<= 4 from v_min up to v = 1, then 6 panels that widen with v up to the
+e^-46 truncation; above kappa = 8 the v^(-kappa/2) fall near v_min gets
+ceil(kappa/8) times the panels.  At g_eval's quad_tol = 1e-11 the two
+agree to 1e-13 relative from kappa = 1.8 to 46 with theta down to 1e-10
+and up to 1 - 1e-12, and to 1.3e-12 over 90 random profiles with alpha
+and beta in [0.3, 3] (worst at |theta| ~ 1e-7, kappa 7.5).
+gamma * int G, the constant Gamma, is Psi(alpha) - u* in closed form.
 
 The module also hosts the generic Kernel container used by the ring-pattern,
 degenerate-construction and extended-solution solvers: a synthetic power-law
@@ -56,7 +52,7 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from .errors import InvalidParameter, QuadratureFailure, SingularAtZero, require_positive
-from .profile import Profile
+from .profile import Profile, psi_at_source
 from .specfun import SQRT_PI, kummer_m, kummer_series, pointwise
 
 SIGMA_MAX = float(np.log2(3.0) - 1.0)  # admissible degeneracy exponents (0, log2 3 - 1)
@@ -66,7 +62,6 @@ _GEO_KAPPA = 8.0  # above this kappa, _g_grid splits the panels of the v^(-kappa
 # v-layout of _g_grid: the largest ratio of the geometric panels below v = 1,
 # and the offsets from v = 1 (or v_min) of the graded exponential panels
 _V_LAYOUT = (4.0, (0.0, 1.0, 3.0, 7.0, 15.0, 31.0, _V_CUT))
-_V_LAYOUT_COARSE = (4.0, (0.0, 3.0, 15.0, _V_CUT))  # gamma_const's coarse level
 _BLOCK_PANELS = 512  # _g_grid evaluates about this many panels (8192 nodes) at a time
 QUAD_TOL_MIN = 50.0 * float(np.finfo(float).eps)  # QUADPACK's floor on epsrel
 MAX_TABLE_POINTS = 1 << 16  # cap on table/export sizes, checked before allocating
@@ -240,23 +235,22 @@ def g_eval(profile: Profile, theta: float, quad_tol: float = 1e-10) -> float:
     return float(_prefactor(alpha, theta) * 0.5 * val)
 
 
-def _g_grid(profile: Profile, thetas, layout=_V_LAYOUT) -> np.ndarray:
+def _g_grid(profile: Profile, thetas) -> np.ndarray:
     """Vectorized G on an array of thetas via fixed composite Gauss panels.
 
-    The v-layout is (geo_max, offsets), _V_LAYOUT unless gamma_const
-    passes its coarse one.  Each point gets m geometric panels of ratio
-    <= geo_max from v_min up to v = 1, then graded panels with edges
-    base + offsets up to the e^-46 truncation (base = 1, or v_min when
-    v_min >= 1); 16-point Gauss-Legendre per panel.  Over the exponential
-    range the integrand is e^-v times a function analytic at distance
-    >= 1 from each panel, so the panels may widen with v: the 6 fine ones
-    have widths 1, 2, 4, 8, 16, 15.  Near v_min the integrand falls like
-    v^(-kappa/2); above kappa = _GEO_KAPPA that fall is split into
-    ceil(kappa/_GEO_KAPPA) panels, both on the geometric range and on the
-    first graded panel (where it lies when v_min is near or above 1).
-    The fine layout agrees with a layout of ratio 1.5 and width 1/4 to
-    1e-14 relative up to kappa = 46, and with g_eval as the module
-    docstring states (1e-13, and 1.3e-12 at worst).
+    The v-layout is _V_LAYOUT = (geo_max, offsets).  Each point gets m
+    geometric panels of ratio <= geo_max from v_min up to v = 1, then
+    graded panels with edges base + offsets up to the e^-46 truncation
+    (base = 1, or v_min when v_min >= 1); 16-point Gauss-Legendre per
+    panel.  Over the exponential range the integrand is e^-v times a
+    function analytic at distance >= 1 from each panel, so the panels may
+    widen with v: the 6 graded ones have widths 1, 2, 4, 8, 16, 15.  Near
+    v_min the integrand falls like v^(-kappa/2); above kappa = _GEO_KAPPA
+    that fall is split into ceil(kappa/_GEO_KAPPA) panels, both on the
+    geometric range and on the first graded panel (where it lies when
+    v_min is near or above 1).  The layout agrees with one of ratio 1.5
+    and width 1/4 to 1e-14 relative up to kappa = 46, and with g_eval as
+    the module docstring states (1e-13, and 1.3e-12 at worst).
     The panels of all points form one ragged list, evaluated in blocks of
     about _BLOCK_PANELS panels that split only between points; each
     point's panel sums are added in panel order by np.bincount.
@@ -286,7 +280,7 @@ def _g_grid(profile: Profile, thetas, layout=_V_LAYOUT) -> np.ndarray:
 
     # edges of point i: vm ratio^j for j <= m, then base + offsets[j - m];
     # with m = 0 (vm >= 1) the graded panels start at vm itself
-    geo_max, offsets = layout
+    geo_max, offsets = _V_LAYOUT
     split = max(1, int(np.ceil(k / _GEO_KAPPA)))
     offsets = np.concatenate((np.linspace(offsets[0], offsets[1], split + 1), offsets[2:]))
     m = np.zeros(tt.shape, dtype=int)
@@ -339,64 +333,15 @@ def k_grid(profile: Profile, thetas) -> np.ndarray:
     return t * t * (_g_grid(profile, t) + _g_grid(profile, -t))
 
 
-def gamma_const(profile: Profile, quad_tol: float = 1e-9) -> float:
-    """Gamma = gamma * int_{-1}^{1} G(theta) dtheta.
+def gamma_const(profile: Profile) -> float:
+    """Gamma = gamma * int_{-1}^{1} G(theta) dtheta = Psi(alpha) - u*.
 
-    Graded geometric mesh toward theta = 0 down to 1e-10 (32 panels of
-    ratio 2 on [1e-10, 1/2]), then the integrable small-theta asymptote
-    (power law, or log at kappa = 2) integrated in closed form with its
-    coefficient measured at the matching point; theta = 1 - s^2 with 16
-    uniform s-panels on the upper half.  The error estimate is the gap to
-    a coarse level with half the theta panels (16 of ratio 4, and 8 in s)
-    and _g_grid's coarse v-layout (3 graded panels instead of 6), so it
-    sees the v-quadrature too.  Against 240 theta panels both levels are
-    within 1e-14 relative on [1e-10, 1/2] (kappa 1.1 to 48), so the gap
-    measures the v-layouts and the upper half.  The coarse level keeps the
-    v-ratio 4: at ratio 4.5 the gap already reaches 1.2e-12 near kappa = 8,
-    above the 1e-12 floor of the tolerance.
+    The identity holds for the profile solve_kappa returns: gamma * int G
+    is the precipitation-free profile on the source line minus the
+    threshold.  tests/test_kernel.py integrates _g_grid over theta and
+    checks it against this value.
     """
-    if not QUAD_TOL_MIN <= quad_tol <= 1e-6:
-        raise InvalidParameter(f"quad_tol must lie in [{QUAD_TOL_MIN:.3g}, 1e-6], got {quad_tol}")
-    t0 = 1e-10
-    kappa = profile.kappa
-
-    def panel_sum(edges: np.ndarray, f) -> float:
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-        fv = f(nodes).reshape(len(half), -1)
-        return float(np.sum(half * (fv @ _GL_W)))
-
-    def side(sign: float, level: int) -> float:
-        layout = _V_LAYOUT_COARSE if level == 1 else _V_LAYOUT
-
-        def g(t):
-            return _g_grid(profile, sign * t, layout)
-
-        # graded geometric mesh on [t0, 1/2] resolves the theta -> 0 power law
-        geo = np.geomspace(t0, 0.5, 16 * level + 1)
-        body = panel_sum(geo, g)
-        # theta = 1 - s^2 renders the upper half smooth (sqrt tail for +,
-        # exponentially flat for -)
-        s_edges = np.linspace(0.0, np.sqrt(0.5), 8 * level + 1)
-        upper = panel_sum(s_edges, lambda s: 2.0 * s * g(1.0 - s * s))
-        # asymptotic tail on [0, t0]
-        g0 = g(np.array([t0]))[0]
-        if abs(kappa - 2.0) <= 1e-9:
-            tail = g0 / (-np.log(t0)) * (t0 - t0 * np.log(t0))
-        elif kappa < 2.0:
-            tail = g0 / t0 ** (kappa - 2.0) * t0 ** (kappa - 1.0) / (kappa - 1.0)
-        else:
-            tail = g0 * t0
-        return body + upper + float(tail)
-
-    coarse = side(1.0, 1) + side(-1.0, 1)
-    fine = side(1.0, 2) + side(-1.0, 2)
-    if abs(fine - coarse) > max(quad_tol, 1e-12) * abs(fine):
-        raise QuadratureFailure(
-            f"Gamma refinement gap {abs(fine - coarse):.2e} above tolerance"
-        )
-    return float(profile.gamma * fine)
+    return psi_at_source(profile.params) - profile.params.u_star
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +415,6 @@ def build_kernel_table(
     anti, prefix = _spline_prefix(eval_fn, 4 * n_points)
     a0 = float(anti(0.0))
 
-    gamma_c = gamma_const(profile, quad_tol)
     table = KernelTable(
         thetas=thetas,
         g_plus=g_plus,
@@ -481,7 +425,7 @@ def build_kernel_table(
     kern = Kernel(
         eval=eval_fn,
         prefix=prefix,
-        gamma_const=gamma_c,
+        gamma_const=gamma_const(profile),
         sigma=0.5,
         k_coeff=kc,
         label=(

@@ -252,10 +252,7 @@ def _extrapolate(zeros, q_bound: float) -> float:
     the last three ratios clamped to q_bound."""
     widths = np.diff(zeros)
     ratios = widths[1:] / widths[:-1]
-    q_hat = float(np.exp(np.mean(np.log(ratios[-3:]))))
-    q_hat = min(max(q_hat, 0.0), q_bound)
-    if q_hat >= 1.0:
-        return float(zeros[-1])
+    q_hat = min(float(np.exp(np.mean(np.log(ratios[-3:])))), q_bound)
     return float(zeros[-1] + widths[-1] * q_hat / (1.0 - q_hat))
 
 
@@ -272,7 +269,8 @@ def solve_pattern(
     Stops with Degenerate when neither continuation is consistent (x* is the
     last zero), with NonDegenerateAccumulation when the band width falls
     below min_width (x* extrapolated), and with Truncated when max_zeros or
-    the horizon is exhausted first.
+    the horizon is exhausted first.  Raises InvalidParameter unless
+    root_tol < scan_step <= horizon.
     """
     x1_scale = float(np.sqrt(kern.gamma_const / kern.cum(0.0, 1.0)))
     scan_step = x1_scale / 200.0 if scan_step is None else scan_step
@@ -282,6 +280,11 @@ def solve_pattern(
     require_positive(
         min_width=min_width, horizon=horizon, scan_step=scan_step, root_tol=root_tol
     )
+    if not root_tol < scan_step <= horizon:
+        raise InvalidParameter(
+            f"need root_tol < scan_step <= horizon, got root_tol={root_tol}, "
+            f"scan_step={scan_step}, horizon={horizon}"
+        )
     if max_zeros < 1:
         raise InvalidParameter(f"max_zeros must be >= 1, got {max_zeros}")
     q_bound = q_star(kern.sigma)

@@ -328,6 +328,12 @@ def test_model_parameter_rejected_by_name(tmp_path, capsys, recwarn, command, fl
         ["rings", "--max-zeros", "-1"],
         ["rings", "--scan-step", "1e-15"],
         ["rings", "--scan-step", "1e-300"],
+        # solve_pattern needs root_tol < scan_step <= horizon
+        ["rings", "--scan-step", "1e300"],
+        ["rings", "--root-tol", "1e300"],
+        ["rings", "--horizon", "1e-4"],
+        # past that check, next_zero caps its scan at MAX_SCAN_POINTS
+        ["rings", "--scan-step", "1e-15", "--root-tol", "1e-16"],
         ["pde", "--smax", "inf"],
         ["pde", "--smax", "1e300"],
         ["pde", "--ds", "1e-300"],
@@ -342,6 +348,29 @@ def test_model_parameter_rejected_by_name(tmp_path, capsys, recwarn, command, fl
 )
 def test_out_of_range_size_or_tolerance_exits_two(tmp_path, capsys, argv):
     assert_input_error(argv + ["--out", str(tmp_path / "o.csv")], capsys)
+
+
+@pytest.mark.parametrize("sigma", ["0.02", "1e-300"])
+def test_degenerate_sigma_without_second_zero_exits_two(tmp_path, capsys, sigma):
+    # below sigma 0.0483 the template's first gap is thinner than the
+    # bracket's 1e-4 x1 offset, so there is no second zero to bracket
+    err = assert_input_error(
+        ["degenerate", "--sigma", sigma, "--out", str(tmp_path / "d.csv")], capsys
+    )
+    assert f"sigma={float(sigma)}" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_degenerate_overflowing_scale_fails_verification(tmp_path, capsys):
+    # fill_head overflows at scale 1e300; the NaN mass must fail the mass
+    # identity check by name rather than reach solve_pattern's input guards
+    rc = dispatch(["degenerate", "--scale", "1e300", "--out", str(tmp_path / "d.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: VerificationFailed:")
+    assert "synthetic(sigma=0.5, scale=1e+300): kernel mass mismatch nan" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize(

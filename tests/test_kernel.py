@@ -294,13 +294,14 @@ def test_g_eval_meets_every_tolerance(profile02, profile_large_kappa, quad_tol):
 
 
 @pytest.mark.parametrize("which", ["profile02", "profile_large_kappa"])
-def test_grid_layout_converged(request, which):
+def test_grid_layout_converged(monkeypatch, request, which):
     # against panels of ratio 1.5 below v = 1 and width 1/4 above it
     prof = request.getfixturevalue(which)
     thetas = _table_thetas()[::8]
-    fine = (1.5, np.arange(0.0, kn._V_CUT + 0.125, 0.25))
     for sign in (1.0, -1.0):
-        ref = kn._g_grid(prof, sign * thetas, fine)
+        with monkeypatch.context() as m:
+            m.setattr(kn, "_V_LAYOUT", (1.5, np.arange(0.0, kn._V_CUT + 0.125, 0.25)))
+            ref = kn._g_grid(prof, sign * thetas)
         np.testing.assert_allclose(kn._g_grid(prof, sign * thetas), ref, rtol=1e-13, atol=0.0)
 
 
@@ -321,36 +322,79 @@ def test_grid_memory_peak(profile02):
 # Gamma constant
 
 
+def gamma_by_quadrature(profile):
+    """Oracle: gamma * int_{-1}^{1} G over _g_grid, the independent route to
+    Gamma = Psi(alpha) - u*.
+
+    32 geometric theta panels (ratio 2) on [1e-10, 1/2] resolve the
+    theta -> 0 power law, theta = 1 - s^2 with 16 uniform s-panels renders
+    the upper half smooth (sqrt tail for +, exponentially flat for -), and
+    [0, 1e-10] takes the small-theta asymptote (power law, or log at
+    kappa = 2) in closed form, with its coefficient measured at 1e-10.
+    Against 240 theta panels this is within 1e-14 relative on
+    [1e-10, 1/2] for kappa 1.1 to 48.
+    """
+    t0 = 1e-10
+    kappa = profile.kappa
+
+    def panel_sum(edges, f):
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * kn._GL_X[None, :]).ravel()
+        return float(np.sum(half * (f(nodes).reshape(len(half), -1) @ kn._GL_W)))
+
+    total = 0.0
+    for sign in (1.0, -1.0):
+        def g(t):
+            return kn._g_grid(profile, sign * t)
+
+        body = panel_sum(np.geomspace(t0, 0.5, 33), g)
+        upper = panel_sum(np.linspace(0.0, np.sqrt(0.5), 17), lambda s: 2.0 * s * g(1.0 - s * s))
+        g0 = g(np.array([t0]))[0]
+        if abs(kappa - 2.0) <= 1e-9:
+            tail = g0 / (-np.log(t0)) * (t0 - t0 * np.log(t0))
+        elif kappa < 2.0:
+            tail = g0 / t0 ** (kappa - 2.0) * t0 ** (kappa - 1.0) / (kappa - 1.0)
+        else:
+            tail = g0 * t0
+        total += body + upper + tail
+    return profile.gamma * total
+
+
 @pytest.mark.parametrize(
     "layout",
     [(4.0, (0.0, 1.0, 3.0, 7.0)), (64.0, kn._V_LAYOUT[1])],
     ids=["cut_at_e^-7", "geometric_ratio_64"],
 )
 def test_gamma_gap_sees_the_v_layout(monkeypatch, profile02, layout):
-    # the coarse level has its own v-layout, so a broken fine one shows
+    # a broken v-layout shows in the table's off-grid probes against the
+    # adaptive g_eval
     monkeypatch.setattr(kn, "_V_LAYOUT", layout)
-    with pytest.raises(QuadratureFailure, match="refinement gap"):
-        kn.gamma_const(profile02, 1e-9)
+    with pytest.raises(QuadratureFailure, match="table interpolation error"):
+        kn.build_kernel_table(profile02, 2048, 1e-9)
 
 
 def test_gamma_work_is_pinned(monkeypatch, profile02):
-    # each level integrates 2 signs x (geometric + upper-half panels) x 16
-    # nodes, plus the matching point t0: 32 + 16 panels at the fine level,
-    # 16 + 8 at the coarse one (60 + 16 and 30 + 8 would be 3652 points)
-    points = []
-    g_grid = kn._g_grid
+    # Gamma is the closed form: no density point and no Kummer function
+    calls = []
 
-    def counting_g_grid(profile, thetas, *layout):
-        points.append(np.size(thetas))
-        return g_grid(profile, thetas, *layout)
+    def counting(name):
+        original = getattr(kn, name)
 
-    monkeypatch.setattr(kn, "_g_grid", counting_g_grid)
-    kn.gamma_const(profile02, 1e-9)
-    assert 0 < sum(points) <= 2 * ((48 * 16 + 1) + (24 * 16 + 1))
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        return counted
+
+    for name in ("_g_grid", "g_eval", "kummer_m", "kummer_series"):
+        monkeypatch.setattr(kn, name, counting(name))
+    assert kn.gamma_const(profile02) > 0.0
+    assert calls == []
 
 
 def test_gamma_const_graded_vs_cutoff_extrapolation(profile02):
-    gam = kn.gamma_const(profile02, 1e-9)
+    gam = kn.gamma_const(profile02)
     # plain adaptive quadrature with interior cutoffs 10^-k, extrapolated
     # through the leading |theta|^(kappa - 2) tail (the next, constant-order
     # density term leaves a residual of order cut itself, hence small cuts)
@@ -378,23 +422,26 @@ def test_gamma_const_graded_vs_cutoff_extrapolation(profile02):
 def test_gamma_const_positive_and_matches_source_identity(alpha, beta, u_star):
     # the precipitation-free self-similar solution gives the exact identity
     # Gamma = Psi(alpha) - u*; the points put kappa on both sides of 2,
-    # and the last at 46
+    # and the last at 46.  Worst gap 1.0e-10 relative, at kappa 1.77
     prof = solve_kappa(ModelParams(alpha, beta, u_star))
-    gam = kn.gamma_const(prof, 1e-9)
+    gam = kn.gamma_const(prof)
     assert gam > 0
-    assert gam == pytest.approx(psi_at_source(prof.params) - u_star, abs=1e-8)
+    assert gam == psi_at_source(prof.params) - u_star
+    assert gamma_by_quadrature(prof) == pytest.approx(gam, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha, beta, u_star", SOURCE_IDENTITY_POINTS)
 def test_gamma_const_meets_the_tightest_tolerance(alpha, beta, u_star):
-    # the CLI accepts --quad-tol down to QUAD_TOL_MIN, where the gap check
-    # compares the two levels at its 1e-12 floor
+    # the CLI accepts --quad-tol down to QUAD_TOL_MIN: the default table
+    # passes its off-grid probes there and carries the closed-form Gamma
     prof = solve_kappa(ModelParams(alpha, beta, u_star))
-    assert kn.gamma_const(prof, kn.QUAD_TOL_MIN) > 0.0
+    _, kern = kn.build_kernel_table(prof, 2048, kn.QUAD_TOL_MIN)
+    assert kern.gamma_const == kn.gamma_const(prof)
 
 
-# each example builds a table and its Gamma (0.1-0.4 s, over 1 s at large
-# kappa), so a failure is reported as drawn, without minutes of shrinking
+# each example builds a table and integrates G over theta (0.1-0.4 s, over
+# 1 s at large kappa), so a failure is reported as drawn, without minutes
+# of shrinking
 @settings(max_examples=12, deadline=None, derandomize=True, phases=(Phase.generate,))
 @given(
     st.floats(min_value=0.5, max_value=3.0),
@@ -407,7 +454,8 @@ def test_gamma_identity_on_solvable_parameters(alpha, beta, u_star):
     prof = solve_kappa(params)
     # the benchmark's bound; the table's off-grid probes must pass too
     _, kern = kn.build_kernel_table(prof, 256)
-    assert abs(kern.gamma_const - (psi_at_source(params) - u_star)) <= 1e-9
+    assert kern.gamma_const == psi_at_source(params) - u_star
+    assert abs(gamma_by_quadrature(prof) - kern.gamma_const) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +598,7 @@ def test_generalizes_beyond_unit_parameters():
     params = ModelParams(2.0, 0.5, 0.05)
     prof = solve_kappa(params)
     assert prof.kappa > 10
-    gam = kn.gamma_const(prof, 1e-8)
-    assert gam == pytest.approx(psi_at_source(params) - 0.05, abs=1e-8)
+    assert gamma_by_quadrature(prof) == pytest.approx(psi_at_source(params) - 0.05, abs=1e-8)
     ratio = kn.k_eval(prof, 1.0 - 1e-4, 1e-9) / np.sqrt(1e-4)
     assert ratio == pytest.approx(kn.k_coefficient(prof), rel=0.05)
 
