@@ -91,16 +91,11 @@ def _add_table_flags(p: argparse.ArgumentParser) -> None:
 
 
 def load_kernel_file(path: str) -> Kernel:
-    """Tabulated kernel: '#' keys sigma, k_coeff, gamma; rows theta, K.
-
-    theta is column 0.  K is column 1 when there is no column header row,
-    and otherwise the column named K (a `kernel` export) or K_hat (a
-    `degenerate` export).
-    """
+    """Tabulated kernel: '#' keys sigma, k_coeff, gamma, then a column header
+    row naming theta, K (a `kernel` export) or K_hat (a `degenerate` export)
+    and cumK = int_0^theta K, then one row of numbers per node."""
     meta = {}
-    thetas, kvals = [], []
-    k_col = 1
-    n_rows = 0
+    cols, rows = None, []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -111,24 +106,23 @@ def load_kernel_file(path: str) -> Kernel:
                     key, _, val = line[1:].partition("=")
                     meta[key.strip()] = val.strip()
                 continue
-            n_rows += 1
             parts = line.split(",")
+            if cols is None:  # column header row
+                names = [p.strip() for p in parts]
+                k_name = "K" if "K" in names else "K_hat"
+                if not {"theta", k_name, "cumK"} <= set(names):
+                    raise InvalidParameter(
+                        f"{path}:{lineno}: column header {line!r} must name theta, "
+                        "K or K_hat, and cumK"
+                    )
+                cols = [names.index(n) for n in ("theta", k_name, "cumK")]
+                continue
             try:
-                th, kv = float(parts[0]), float(parts[k_col])
+                rows.append([float(parts[i]) for i in cols])
             except (ValueError, IndexError):
-                if n_rows == 1:  # column header row
-                    names = [p.strip() for p in parts]
-                    k_col = next((names.index(n) for n in ("K", "K_hat") if n in names), None)
-                    if k_col is None:
-                        raise InvalidParameter(
-                            f"{path}:{lineno}: column header {line!r} names neither K nor K_hat"
-                        )
-                    continue
                 raise InvalidParameter(
                     f"{path}:{lineno}: malformed data row {line!r}"
                 ) from None
-            thetas.append(th)
-            kvals.append(kv)
     try:
         sigma = float(meta["sigma"])
         k_coeff = float(meta["k_coeff"])
@@ -137,7 +131,8 @@ def load_kernel_file(path: str) -> Kernel:
         raise InvalidParameter(f"kernel file lacks required header key {exc}")
     except ValueError as exc:
         raise InvalidParameter(f"kernel file header: {exc}") from None
-    return kernel_from_samples(thetas, kvals, sigma, k_coeff, gamma, label=f"file:{path}")
+    thetas, kvals, cums = np.reshape(rows, (-1, 3)).T
+    return kernel_from_samples(thetas, kvals, cums, sigma, k_coeff, gamma, label=f"file:{path}")
 
 
 def resolve_kernel(args) -> Kernel:
@@ -238,6 +233,7 @@ def cmd_degenerate(args) -> None:
     ]
     thetas = np.unique(np.concatenate([base, np.asarray(cluster), np.asarray(cons.theta_breaks)]))
     k_hat = cons.result.eval(thetas)
+    cum_k = cons.result.cum(0.0, thetas)
     meta = {
         "command": "degenerate", "template_sigma": args.sigma,
         "template_scale": args.scale, "sigma": cons.result.sigma,
@@ -248,7 +244,8 @@ def cmd_degenerate(args) -> None:
         "r_star": cons.r_star, "lambda_star": cons.lambda_star,
         "n_power": cons.n_power, "z_eps": cons.z_eps, "verified": verified,
     }
-    emit_csv(args.out, meta, ["theta", "K_hat"], zip(thetas, k_hat), trailer=trailer)
+    emit_csv(args.out, meta, ["theta", "K_hat", "cumK"], zip(thetas, k_hat, cum_k),
+             trailer=trailer)
     print(
         f"degenerate: breakdown at x2+eps={cons.x2 + cons.epsilon:.10g}, "
         f"verified={verified}"

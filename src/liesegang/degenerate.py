@@ -91,6 +91,7 @@ class GapBridge:
     left_slope: Callable
     middle: CubicHermiteSpline
     middle_slope: Callable
+    right: Callable  # (1/2) x^2 int_{(x2+eps)/x}^1 K*, from x2 + eps on
 
     def _pieces(self, x):
         """Template left of x2 - eps, Hermite middle, right branch from x2 + eps."""
@@ -99,10 +100,7 @@ class GapBridge:
 
     @pointwise
     def value(self, x):
-        t, z = self.template, self.x2 + self.epsilon
-        return np.piecewise(x, self._pieces(x), [
-            self.left, self.middle, lambda xr: 0.5 * xr * xr * t.cum(z / xr, 1.0)
-        ])
+        return np.piecewise(x, self._pieces(x), [self.left, self.middle, self.right])
 
     @pointwise
     def slope(self, x):
@@ -183,7 +181,7 @@ def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> 
         z_eps = z_hi
 
     bridge = GapBridge(template, x1, x2, epsilon, float(z_eps), value_star, slope_star,
-                       middle, middle_slope)
+                       middle, middle_slope, right)
     # conditions: increasing and below Gamma across the modified interval
     vals = bridge.value(np.linspace(x_l, x2 + 2.0 * epsilon, 65))
     if np.any(np.diff(vals) <= 0):
@@ -195,12 +193,13 @@ def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> 
 
 @dataclass(frozen=True)
 class PartialKernel:
-    """K_eps on [r, 1] with its integrals and edge density."""
+    """K_eps on [r, 1] with its antiderivative, integrals and edge density."""
 
     bridge: GapBridge
     r: float
     eval: Callable
-    int_k: float  # int_r^1 K_eps
+    anti: Callable  # -(omega_eps(x1/theta) - Gamma) theta^2 / x1^2, d/dtheta = K_eps
+    int_k: float  # int_r^1 K_eps = anti(1) - anti(r)
     int_g: float  # int_r^1 G_eps
     g_at_r: float
 
@@ -216,6 +215,9 @@ def kernel_from_bridge(template: Kernel, bridge: GapBridge, x1: float) -> Partia
         x = x1 / th
         return bridge.slope(x) / x1 - 2.0 * th * (bridge.value(x) - gamma) / x1**2
 
+    def anti(th):
+        return -(bridge.value(x1 / th) - gamma) * th * th / x1**2
+
     def g_eps(theta):
         return k_eps(theta) / (theta * theta)
 
@@ -223,9 +225,7 @@ def kernel_from_bridge(template: Kernel, bridge: GapBridge, x1: float) -> Partia
     if np.any(vals <= 0):
         raise PositivityViolation("K_eps non-positive on its domain")
 
-    # int_r^1 K_eps telescopes through the antiderivative
-    # -(omega_eps(x1/theta) - Gamma) theta^2 / x1^2
-    int_k = gamma / x1**2 + (bridge.value(x2 + 2.0 * eps) - gamma) / (x2 + 2.0 * eps) ** 2
+    int_k = anti(1.0) - anti(r)
     breaks = sorted(
         {r, x1 / (x2 + eps), x1 / x2, x1 / (x2 - eps), x1 / (x2 - eps / 2.0)}
     )
@@ -234,7 +234,7 @@ def kernel_from_bridge(template: Kernel, bridge: GapBridge, x1: float) -> Partia
         epsabs=0.0, epsrel=1e-11, limit=400,
     )
     return PartialKernel(
-        bridge=bridge, r=float(r), eval=k_eps,
+        bridge=bridge, r=float(r), eval=k_eps, anti=anti,
         int_k=float(int_k), int_g=float(int_g), g_at_r=float(g_eps(r)),
     )
 
@@ -353,15 +353,10 @@ def fill_head(template: Kernel, partial: PartialKernel) -> DegenerateConstructio
         return spline + g_r * t ** (n_power + 3) / ((n_power + 3.0) * r**n_power)
 
     x1, x2, eps = bridge.x1, bridge.x2, bridge.epsilon
-
-    def _keps_anti(t):
-        # antiderivative of -K_eps: (omega_eps(x1/t) - Gamma) t^2 / x1^2
-        x = x1 / t
-        return -(bridge.value(x) - gamma) * t * t / x1**2
-
+    anti = partial.anti
     # on [r, 1] the prefix is measured down from theta = 1: prefix(1) is the
     # sum head mass + int_k that k_star balances against int K*
-    total, top = float(head_prefix(r)) + partial.int_k, _keps_anti(1.0)
+    total, top = float(head_prefix(r)) + partial.int_k, anti(1.0)
 
     @pointwise
     def eval_fn(theta):
@@ -373,7 +368,7 @@ def fill_head(template: Kernel, partial: PartialKernel) -> DegenerateConstructio
     def prefix(theta):
         flat = np.clip(theta, 0.0, 1.0)
         return np.piecewise(flat, [flat <= r], [
-            head_prefix, lambda th: total - (top - _keps_anti(th))
+            head_prefix, lambda th: total - (top - anti(th))
         ])
 
     kern = Kernel(

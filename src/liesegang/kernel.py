@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import InvalidParameter, QuadratureFailure, SingularAtZero, require_positive
 from .profile import Profile, psi_at_source
@@ -357,23 +357,6 @@ def _u_of_theta(theta):
     return np.arcsin(np.sqrt(np.clip(theta, 0.0, 1.0)))
 
 
-def _spline_prefix(eval_fn: Callable, n_fine: int):
-    """Antiderivative of K from a spline of K dtheta/du, theta = sin^2 u.
-
-    Returns the antiderivative A(u) on n_fine uniform u-panels and
-    prefix(theta) = A(u(theta)).
-    """
-    u_fine = np.linspace(0.0, np.pi / 2.0, n_fine + 1)
-    w_fine = eval_fn(np.sin(u_fine) ** 2) * np.sin(2.0 * u_fine)
-    anti = CubicSpline(u_fine, w_fine).antiderivative()
-
-    @pointwise
-    def prefix(theta):
-        return anti(_u_of_theta(theta))
-
-    return anti, prefix
-
-
 def build_kernel_table(
     profile: Profile, n_points: int = 2048, quad_tol: float = 1e-9
 ) -> tuple[KernelTable, Kernel]:
@@ -412,7 +395,14 @@ def build_kernel_table(
         tt = np.clip(theta, 0.0, 1.0)
         return v_spline(_u_of_theta(tt)) * np.sqrt(1.0 - tt)
 
-    anti, prefix = _spline_prefix(eval_fn, 4 * n_points)
+    u_fine = np.linspace(0.0, np.pi / 2.0, 4 * n_points + 1)
+    w_fine = eval_fn(np.sin(u_fine) ** 2) * np.sin(2.0 * u_fine)
+    anti = CubicSpline(u_fine, w_fine).antiderivative()
+
+    @pointwise
+    def prefix(theta):
+        return anti(_u_of_theta(theta))
+
     a0 = float(anti(0.0))
 
     table = KernelTable(
@@ -443,34 +433,54 @@ def build_kernel_table(
 
 
 def kernel_from_samples(
-    thetas, k_values, sigma: float, k_coeff: float, gamma_const_value: float,
+    thetas, k_values, cum_values, sigma: float, k_coeff: float, gamma_const_value: float,
     label: str = "tabulated",
 ) -> Kernel:
-    """Rebuild a Kernel from sampled (theta, K) pairs.
+    """Rebuild a Kernel from sampled theta, K and cumK = int_0^theta K.
 
-    Values interpolate linearly in V = K/(1-theta)^sigma; np.interp holds V
-    at its last value beyond the last node, so the tail follows
-    (1-theta)^sigma through zero at theta = 1.
+    prefix is one cubic Hermite interpolant P(w), w = (1-theta)^(1+sigma),
+    through the nodes' cumK with slope -V/(1+sigma), V = K/(1-theta)^sigma
+    (k_coeff at theta = 1); eval is its derivative -(1+sigma) P'(w)
+    (1-theta)^sigma.  A last node below 1 gets a node at theta = 1 that
+    holds V, so past it P is linear in w and K follows (1-theta)^sigma.
     """
     if not 0.0 < sigma < SIGMA_MAX:
         raise InvalidParameter(f"sigma must lie in (0, {SIGMA_MAX:.6f}), got {sigma}")
     t = np.asarray(thetas, dtype=float)
     k = np.asarray(k_values, dtype=float)
-    if t.ndim != 1 or t.shape != k.shape or len(t) < 8:
-        raise InvalidParameter("need matching 1-d theta/K arrays with >= 8 samples")
-    if np.any(np.diff(t) <= 0) or t[0] < 0 or t[-1] > 1.0:
+    cum = np.asarray(cum_values, dtype=float)
+    if t.ndim != 1 or t.shape != k.shape or t.shape != cum.shape or len(t) < 8:
+        raise InvalidParameter("need matching 1-d theta/K/cumK arrays with >= 8 samples")
+    if not (np.all(np.diff(t) > 0) and 0.0 <= t[0] and t[-1] <= 1.0):
         raise InvalidParameter("theta samples must be strictly increasing in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.where(t < 1.0, k / (1.0 - t) ** sigma, k_coeff)
+    if not np.all((v >= 0.0) & (v < np.inf)):
+        raise InvalidParameter("K samples and k_coeff must be finite and non-negative")
+    # exports round cumK: between its clustered nodes the degenerate export
+    # falls by up to 9e-13 of its largest value (sigma 0.2 to 0.55)
+    if not (np.all(np.isfinite(cum)) and np.all(np.diff(cum) >= -1e-10 * np.abs(cum).max())):
+        raise InvalidParameter("cumK samples must be finite and non-decreasing")
+    p = 1.0 + sigma
+    if t[-1] < 1.0:
+        cum = np.append(cum, cum[-1] + v[-1] * (1.0 - t[-1]) ** p / p)
+        t, v = np.append(t, 1.0), np.append(v, v[-1])
+    # w falls as theta rises; thetas an ulp apart can round to one w
+    w, first = np.unique((1.0 - t) ** p, return_index=True)
+    spline = CubicHermiteSpline(w, cum[first], -v[first] / p)
 
     @pointwise
     def eval_fn(theta):
-        xx = np.clip(theta, 0.0, 1.0)
-        return np.interp(xx, t, v) * (1.0 - xx) ** sigma
+        one = 1.0 - np.clip(theta, 0.0, 1.0)
+        return -p * spline(one**p, 1) * one**sigma
+
+    @pointwise
+    def prefix(theta):
+        return spline((1.0 - np.clip(theta, 0.0, 1.0)) ** p)
 
     return Kernel(
         eval=eval_fn,
-        prefix=_spline_prefix(eval_fn, 8192)[1],
+        prefix=prefix,
         gamma_const=float(gamma_const_value),
         sigma=float(sigma),
         k_coeff=float(k_coeff),

@@ -8,7 +8,7 @@ import pytest
 
 from liesegang import rings
 from liesegang.cli import dispatch, load_kernel_file
-from liesegang.kernel import MAX_TABLE_POINTS
+from liesegang.kernel import MAX_TABLE_POINTS, synthetic_kernel
 from liesegang.profile import ModelParams, solve_kappa
 
 
@@ -209,23 +209,28 @@ def test_pde_csv(tmp_path):
     assert len(srows) % (6 * 32) == 0
 
 
-def test_degenerate_roundtrip(tmp_path, construction):
+@pytest.mark.parametrize("sigma", [0.2, 0.3, 0.5, 0.55])
+def test_degenerate_roundtrip(tmp_path, sigma):
+    # the reimport interpolates the exported cumK, so it keeps the
+    # construction's two zeros and its tangential breakdown at x2 + eps
     out = tmp_path / "deg.csv"
-    rc = dispatch(["degenerate", "--table-points", "2048", "--out", str(out)])
-    assert rc == 0
+    assert dispatch(["degenerate", "--sigma", str(sigma), "--out", str(out)]) == 0
     meta, header, rows = read_rows(out)
-    assert header == ["theta", "K_hat"]
+    assert header == ["theta", "K_hat", "cumK"]
     assert meta["verified"] == "True"
     kern = load_kernel_file(str(out))
-    assert kern.gamma_const == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert kern.gamma_const == pytest.approx(1.0 / (1.0 + sigma), abs=1e-12)
     pattern = rings.solve_pattern(kern, max_zeros=8)
+    assert len(pattern.zeros) == 3
     assert pattern.classification is rings.Classification.DEGENERATE
-    x_break = construction.x2 + construction.epsilon
-    assert pattern.x_star == pytest.approx(x_break, rel=0.01)
+    x_break = float(meta["x2"]) + float(meta["epsilon"])
+    assert pattern.zeros[2] == pytest.approx(x_break, rel=1e-6)
+    assert pattern.x_star == pytest.approx(x_break, rel=1e-6)
 
 
 def test_kernel_export_roundtrip(tmp_path):
-    # rings reads the export's K column by name, not G_plus in column 1
+    # rings reads the export's K and cumK columns by name, and the reimport
+    # finds the table's zeros
     export = tmp_path / "k.csv"
     assert dispatch(["kernel", "--table-points", "512", "--out", str(export)]) == 0
     zeros = []
@@ -233,9 +238,9 @@ def test_kernel_export_roundtrip(tmp_path):
         out = tmp_path / "r.csv"
         rc = dispatch(["rings", "--kernel", selector, "--table-points", "512", "--out", str(out)])
         assert rc == 0
-        zeros.append([float(row[1]) for row in read_rows(out)[2][:5]])
-    assert len(zeros[0]) == 5
-    np.testing.assert_allclose(zeros[0], zeros[1], rtol=1e-4)
+        zeros.append([float(row[1]) for row in read_rows(out)[2]])
+    assert len(zeros[0]) == len(zeros[1])
+    np.testing.assert_allclose(zeros[0], zeros[1], rtol=1e-6)
 
 
 def assert_input_error(argv, capsys):
@@ -378,12 +383,13 @@ def test_degenerate_overflowing_scale_fails_verification(tmp_path, capsys):
     [("0.95", 15), ("theta,K", 15), ("theta,G_plus", 4), ("# sigma = half", None)],
 )
 def test_kernel_file_malformed_line_exits_two(tmp_path, capsys, bad_line, lineno):
-    # only the first non-'#' row may be a column header, and it must name K
-    # or K_hat; a later row that does not parse as two numbers is reported
-    # with its line number
+    # only the first non-'#' row is the column header, and it must name
+    # theta, K or K_hat, and cumK; a later row that does not parse as
+    # numbers in those columns is reported with its line number
     thetas = np.linspace(0.0, 0.9, 10)
-    lines = ["# sigma = 0.5", "# k_coeff = 1", "# gamma = 0.6666666666666666", "theta,K"]
-    lines += [f"{t:.17g},{t * t * np.sqrt(1.0 - t):.17g}" for t in thetas]
+    cums = synthetic_kernel(0.5, 1.0).cum(0.0, thetas)
+    lines = ["# sigma = 0.5", "# k_coeff = 1", "# gamma = 0.6666666666666666", "theta,K,cumK"]
+    lines += [f"{t:.17g},{t * t * np.sqrt(1.0 - t):.17g},{c:.17g}" for t, c in zip(thetas, cums)]
     if lineno is None:
         lines[0] = bad_line  # a header value that is not a number
     else:
@@ -395,3 +401,28 @@ def test_kernel_file_malformed_line_exits_two(tmp_path, capsys, bad_line, lineno
     )
     if lineno is not None:
         assert f":{lineno}:" in err
+
+
+@pytest.mark.parametrize(
+    "columns, sign, name",
+    [("theta,K,cumK", -1.0, "K samples and k_coeff"), ("theta,K", 1.0, "cumK"),
+     (None, 1.0, "cumK")],
+)
+def test_kernel_file_bad_columns_exit_two(tmp_path, capsys, recwarn, columns, sign, name):
+    # a negative K, a missing cumK column and a file without a column header
+    # row are each rejected by name, before any numpy call can warn
+    kern = synthetic_kernel(0.5, 1.0)
+    thetas = np.linspace(0.0, 1.0, 200)
+    data = np.column_stack((thetas, sign * kern.eval(thetas), sign * kern.cum(0.0, thetas)))
+    lines = ["# sigma = 0.5", "# k_coeff = 1", "# gamma = 0.6666666666666666"]
+    if columns is not None:
+        lines.append(columns)
+    width = 2 if columns == "theta,K" else 3
+    lines += [",".join(f"{v:.17g}" for v in row[:width]) for row in data]
+    path = tmp_path / "k.csv"
+    path.write_text("\n".join(lines) + "\n")
+    err = assert_input_error(
+        ["rings", "--kernel", f"file:{path}", "--out", str(tmp_path / "r.csv")], capsys
+    )
+    assert name in err
+    assert len(recwarn) == 0

@@ -99,7 +99,9 @@ def test_synthetic_cum_is_prefix_difference(synthetic):
 def _file_kernel():
     thetas = np.sin(np.linspace(0.0, np.pi / 2.0, 257)) ** 2
     synth = kn.synthetic_kernel(0.5, 1.0)
-    return kn.kernel_from_samples(thetas, synth.eval(thetas), 0.5, 1.0, synth.gamma_const)
+    return kn.kernel_from_samples(
+        thetas, synth.eval(thetas), synth.cum(0.0, thetas), 0.5, 1.0, synth.gamma_const
+    )
 
 
 @pytest.mark.parametrize("kind", ["synthetic", "derived", "file", "degenerate"])
@@ -562,7 +564,8 @@ def test_f_prime_single_sign_change(model_kernel015):
 def test_kernel_from_samples_roundtrip(synthetic):
     thetas = np.sin(np.linspace(0.0, np.pi / 2.0, 1025)) ** 2
     rebuilt = kn.kernel_from_samples(
-        thetas, synthetic.eval(thetas), 0.5, 1.0, synthetic.gamma_const
+        thetas, synthetic.eval(thetas), synthetic.cum(0.0, thetas), 0.5, 1.0,
+        synthetic.gamma_const,
     )
     probe = np.linspace(0.01, 0.999, 301)
     assert np.max(np.abs(rebuilt.eval(probe) - synthetic.eval(probe))) < 2e-6
@@ -573,7 +576,7 @@ def test_kernel_from_samples_tail_rule():
     thetas = np.linspace(0.0, 0.9, 200)
     kern = kn.synthetic_kernel(0.5, 1.0)
     rebuilt = kn.kernel_from_samples(
-        thetas, kern.eval(thetas), 0.5, 1.0, kern.gamma_const
+        thetas, kern.eval(thetas), kern.cum(0.0, thetas), 0.5, 1.0, kern.gamma_const
     )
     # beyond the last node: linear in sqrt(1 - theta) through zero at 1
     k_last = float(kern.eval(0.9))
@@ -586,9 +589,45 @@ def test_kernel_from_samples_tail_follows_sigma():
     # beyond the last node K keeps V = K/(1-theta)^sigma at its last value
     thetas = np.linspace(0.0, 0.9, 200)
     kern = kn.synthetic_kernel(0.3, 1.0)
-    rebuilt = kn.kernel_from_samples(thetas, kern.eval(thetas), 0.3, 1.0, kern.gamma_const)
+    rebuilt = kn.kernel_from_samples(
+        thetas, kern.eval(thetas), kern.cum(0.0, thetas), 0.3, 1.0, kern.gamma_const
+    )
     expect = float(kern.eval(0.9)) * (0.05 / 0.1) ** 0.3
     assert float(rebuilt.eval(0.95)) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("last", [1.0, 0.9])
+def test_kernel_from_samples_reproduces_nodes(last):
+    # one interpolant: prefix meets cumK and eval meets K at every node, and
+    # eval is the derivative of prefix, also past a last node below 1
+    kern = kn.synthetic_kernel(0.3, 1.0)
+    thetas = last * np.sin(np.linspace(0.0, np.pi / 2.0, 129)) ** 2
+    k, cum = kern.eval(thetas), kern.cum(0.0, thetas)
+    rebuilt = kn.kernel_from_samples(thetas, k, cum, 0.3, 1.0, kern.gamma_const)
+    np.testing.assert_allclose(rebuilt.prefix(thetas) - rebuilt.prefix(0.0), cum,
+                               rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(rebuilt.eval(thetas), k, rtol=1e-13, atol=1e-16)
+    for a, b in ((0.05, 0.4), (0.5, 0.97), (0.0, 1.0)):
+        inside = thetas[(thetas > a) & (thetas < b)]
+        val, _ = integrate.quad(rebuilt.eval, a, b, epsabs=0.0, epsrel=1e-13,
+                                limit=400, points=inside)
+        assert rebuilt.cum(a, b) == pytest.approx(val, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "column, value, name",
+    [("theta", np.nan, "^theta samples"), ("K", -1e-3, "^K samples"),
+     ("K", np.nan, "^K samples"), ("K", np.inf, "^K samples"),
+     ("cum", 0.0, "^cumK samples"), ("cum", np.nan, "^cumK samples"),
+     ("cum", np.inf, "^cumK samples")],
+)
+def test_kernel_from_samples_rejects_bad_values(column, value, name):
+    kern = kn.synthetic_kernel(0.5, 1.0)
+    thetas = np.linspace(0.0, 0.9, 20)
+    cols = {"theta": thetas, "K": kern.eval(thetas), "cum": kern.cum(0.0, thetas)}
+    cols[column][10] = value
+    with pytest.raises(InvalidParameter, match=name):
+        kn.kernel_from_samples(cols["theta"], cols["K"], cols["cum"], 0.5, 1.0, 2.0 / 3.0)
 
 
 def test_generalizes_beyond_unit_parameters():
