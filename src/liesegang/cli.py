@@ -221,17 +221,10 @@ def cmd_degenerate(args) -> None:
     template = synthetic_kernel(args.sigma, args.scale)
     cons = dg.construct_degenerate(template)
     verified = dg.verify_degeneracy(cons)
+    # the base nodes plus the kernel's kinks and sqrt cusp: the file carries
+    # cumK, so a reimport keeps the breakdown structure without clustering
     base = np.sin(np.linspace(0.0, np.pi / 2.0, args.table_points + 1)) ** 2
-    # cluster export samples geometrically around the kernel's kinks and the
-    # sqrt cusp so a reimport preserves the breakdown structure
-    spacing = np.pi / (2.0 * args.table_points)
-    cluster = [
-        np.clip(c + s * spacing * 0.5**k, 0.0, 1.0)
-        for c in cons.theta_breaks
-        for s in (-1.0, 1.0)
-        for k in range(0, 44)
-    ]
-    thetas = np.unique(np.concatenate([base, np.asarray(cluster), np.asarray(cons.theta_breaks)]))
+    thetas = np.union1d(base, cons.theta_breaks)
     k_hat = cons.result.eval(thetas)
     cum_k = cons.result.cum(0.0, thetas)
     meta = {

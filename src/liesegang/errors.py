@@ -23,10 +23,6 @@ class SingularAtZero(LiesegangError):
     """Kernel density requested at theta = 0 where it diverges."""
 
 
-class AmbiguousContinuation(LiesegangError):
-    """Both sign hypotheses are self-consistent past a zero."""
-
-
 class TangentialTemplate(LiesegangError):
     """Template solution has a non-transversal second zero."""
 

@@ -101,17 +101,12 @@ class PdeState:
     P_hist: np.ndarray  # slot k: running sum of p_source_hist[1..k]
 
 
-def init(config: PdeConfig, initial: str = "psi") -> PdeState:
-    """Initial state: w = Psi - Phi (or w = 0 with initial='phi')."""
+def init(config: PdeConfig) -> PdeState:
+    """Initial state: w = Psi - Phi."""
     profile = solve_kappa(config.params)
     eta = config.eta
     phi_grid = phi_eval(profile, eta)
-    if initial == "psi":
-        w0 = psi_eval(config.params, eta) - phi_grid
-    elif initial == "phi":
-        w0 = np.zeros_like(eta)
-    else:
-        raise InvalidParameter("initial must be 'psi' or 'phi'")
+    w0 = psi_eval(config.params, eta) - phi_grid
     inner = slice(1, config.N + 1)
     src = np.zeros_like(eta)
     src[inner] = 2.0 * profile.gamma / eta[inner] ** 2 * phi_grid[inner]
@@ -141,8 +136,10 @@ def assemble_system(state: PdeState, config: PdeConfig, *, p_override=None,
 
 
 def _solve_tridiagonal(diag, lower, upper, b):
-    """LAPACK gtsv; non-finite input raises ValueError, a zero pivot LinAlgError."""
-    *_, x, info = lapack.dgtsv(*map(np.asarray_chkfinite, (lower[1:], diag, upper[:-1], b)))
+    """LAPACK gtsv; a non-finite diag or b raises ValueError, a zero pivot
+    LinAlgError.  The off-diagonals are finite constants set up by init."""
+    check = np.asarray_chkfinite
+    *_, x, info = lapack.dgtsv(lower[1:], check(diag), upper[:-1], check(b))
     if info:
         raise LinAlgError(f"gtsv failed with info = {info}")
     return x

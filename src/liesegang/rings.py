@@ -9,7 +9,8 @@ equation reduces, between zeros, to the explicit partial sum
 so bands alternate: omega > 0 on (x_2j, x_2j+1) (rings), < 0 on gaps.  The
 solver scans each band for the next sign change, refines it with Brent's
 method, and then tests whether either sign hypothesis continues the
-solution past the new zero.
+solution past the new zero, with both candidates written as increments
+from omega = 0 at that zero.
 If neither does, the pattern breaks down degenerately there; otherwise the
 widths shrink geometrically and the zeros accumulate at a finite point,
 with the eventual ratio bounded by the root q* of
@@ -25,11 +26,14 @@ from enum import Enum
 import numpy as np
 from scipy import optimize
 
-from .errors import AmbiguousContinuation, InvalidParameter, require_positive
+from .errors import InvalidParameter, require_positive
 from .kernel import SIGMA_MAX, Kernel
 from .specfun import pointwise
 
 MAX_SCAN_POINTS = 2**20  # omega evaluations of one next_zero scan, checked as it advances
+_TAIL_GAP = 1e-8  # below this gap 1 - theta, K and its tail integral follow k s^sigma
+_GL_X, _GL_WX = np.polynomial.legendre.leggauss(16)
+_GL_U, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_WX  # Gauss-Legendre on [0, 1]
 
 
 class Classification(str, Enum):
@@ -63,8 +67,6 @@ class RingPattern:
 class ContinuationVerdict:
     positive_consistent: bool
     negative_consistent: bool
-    positive_refuted: bool
-    negative_refuted: bool
 
     @property
     def degenerate(self) -> bool:
@@ -103,18 +105,19 @@ def _band_value(x, kern: Kernel, zeros) -> float:
 
 
 def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
-              horizon: float) -> float | None:
-    """Scan past the last zero for the next sign change, then refine it with
-    Brent's method to 4 eps relative.
+              horizon: float, start: float | None = None) -> float | None:
+    """Scan from start (default: the last zero) for the next sign change,
+    then refine it with Brent's method to 4 eps relative.
 
-    root_tol is the scan floor: the anchor past the last zero backs off no
-    closer than root_tol/4, and a rescaled stride stays at least 8 root_tol.
-    Returns None when no sign change occurs before the horizon (the band
-    extends beyond it, or widths fell below resolution).  Raises
-    InvalidParameter when the scan would take over MAX_SCAN_POINTS points.
+    root_tol is the scan floor: the anchor past start backs off no closer
+    than root_tol/4, and a rescaled stride stays at least 8 root_tol.
+    Returns start itself when no point past it takes the band's sign (the
+    band is below resolution), and None when no sign change occurs before
+    the horizon.  Raises InvalidParameter when the scan would take over
+    MAX_SCAN_POINTS points.
     """
     require_positive(scan_step=scan_step, root_tol=root_tol, horizon=horizon)
-    last = zeros[-1] if zeros else 0.0
+    last = (zeros[-1] if zeros else 0.0) if start is None else start
     n = len(zeros) - 1  # index of the open band
     band_sign = (-1.0) ** n
 
@@ -125,7 +128,7 @@ def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
         a = last + (a - last) / 4.0
         backoff += 1
         if backoff > 60 or (a - last) < root_tol / 4.0:
-            return None
+            return last
     # a backoff means the band is thinner than the stride; rescale the scan
     # so the bracketing cannot jump across a whole band
     step = min(scan_step, max(2.0 * (a - last), 8.0 * root_tol))
@@ -155,70 +158,59 @@ def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
     return None
 
 
-def classify_continuation(kern: Kernel, zeros, delta_probe: float,
-                          root_tol: float = 1e-12) -> ContinuationVerdict:
-    """Test both sign hypotheses just past the last confirmed zero.
+def _gap_eval(kern: Kernel, s):
+    """K(1 - s) at gaps s > 0; below _TAIL_GAP the tail law k s^sigma."""
+    return np.where(s < _TAIL_GAP, kern.k_coeff * s**kern.sigma, kern.eval(1.0 - s))
+
+
+def _gap_tail(kern: Kernel, s):
+    """int_{1-s}^1 K at gaps s > 0; below _TAIL_GAP the tail law's integral."""
+    p = 1.0 + kern.sigma
+    return np.where(s < _TAIL_GAP, kern.k_coeff * s**p / p, kern.cum(1.0 - s, 1.0))
+
+
+def candidates(kern: Kernel, zeros, delta: float) -> tuple[float, float]:
+    """Both continuations at z_n + delta, z_n = zeros[-1], as increments from
+    omega(z_n) = 0: (without the toggle at z_n, with it).
+
+    Each earlier relay term enters as
+        rho_i(z_n + d) - rho_i(z_n) = d (2 z_n + d) int_{z_i/z_n}^1 K
+                                      + (z_n + d)^2 int_{z_i/(z_n+d)}^{z_i/z_n} K,
+    the short integral by 16-point Gauss-Legendre in y = z_n + d u, and the
+    toggle adds the newest term (z_n + d)^2 int_{1-s}^1 K, s = d/(z_n + d).
+    Every gap 1 - theta is formed from differences of zeros, so rounding
+    scales with d rather than with Gamma.
+    """
+    z = np.asarray(zeros, dtype=float)
+    zn, zi = float(z[-1]), z[:-1, None]
+    x = zn + delta
+    y = zn + delta * _GL_U  # theta = z_i / y sweeps the short integral
+    short = delta * (_gap_eval(kern, (y - zi) / y) * zi / y**2) @ _GL_W
+    incr = delta * (zn + x) * _gap_tail(kern, (zn - z[:-1]) / zn) + x * x * short
+    incr[1::2] *= -1.0
+    without = -float(np.sum(incr))
+    newest = x * x * float(_gap_tail(kern, delta / x))
+    return without, without - (-1.0) ** (len(z) - 1) * newest
+
+
+def classify_continuation(kern: Kernel, zeros, delta_probe: float) -> ContinuationVerdict:
+    """Test both sign hypotheses at one offset past the last zero z_n.
 
     Hypothesis + : the new band precipitates (omega > 0 there); its candidate
-    solution includes the relay toggled at the last zero when the band index
-    is even, and drops the toggle otherwise.  Hypothesis - symmetrically.
-    A hypothesis is consistent when its candidate carries the hypothesized
-    sign at the probes last + delta * 2^-j, j = 0..6, or, with all probes
-    at the root-tolerance level, when its one-sided slope does.  A
-    hypothesis is refuted when some probe value of the wrong sign clears
-    the resolution floor.  Raises AmbiguousContinuation if both hypotheses
-    pass.  root_tol caps the value floor of the probes.
+    solution includes the relay toggled at z_n when the band index is even,
+    and drops the toggle otherwise.  Hypothesis - symmetrically.  A
+    hypothesis is consistent when its candidate, anchored at omega(z_n) = 0
+    (see candidates), carries the hypothesized sign at z_n + delta_probe.
+    The toggled candidate is the untoggled one minus a positive term in the
+    band's sign, so at most one hypothesis holds.
     """
     if len(zeros) < 2:
         raise InvalidParameter("need at least one positive zero to classify")
     require_positive(delta_probe=delta_probe)
-    last = zeros[-1]
-    n = len(zeros) - 1  # band index just past the zero
-    with_toggle = list(zeros)
-    without_toggle = list(zeros[:-1])
-    if n % 2 == 0:
-        pos_zeros, neg_zeros = with_toggle, without_toggle
-    else:
-        pos_zeros, neg_zeros = without_toggle, with_toggle
-    probes = last + delta_probe * 0.5 ** np.arange(7)
-    cand_pos = omega_eval(kern, pos_zeros, probes)
-    cand_neg = omega_eval(kern, neg_zeros, probes)
-    # resolution of the probe values: rounding of the partial sums is locally
-    # correlated, so probe signs stay meaningful down to a few ulps of the
-    # term scale; a recorded zero that is itself displaced (tangential case)
-    # biases both candidates by its residual, which also caps the resolution
-    noise = 32.0 * np.finfo(float).eps * max(abs(kern.gamma_const), 1.0)
-    residual = abs(float(omega_eval(kern, list(zeros), zeros[-1])))
-    value_floor = max(min(root_tol, noise), 4.0 * residual)
-
-    def consistent(vals, zeros_used, sign):
-        informative = np.abs(vals) > value_floor
-        if np.any(informative):
-            if not np.all(sign * vals[informative] > 0):
-                return False
-            # genuine band values scale with the probe offset, whereas the
-            # offset of a displaced zero sits flat across the probe ladder
-            signed = sign * vals
-            variation = float(np.max(signed) - np.min(signed))
-            return variation >= 0.5 * float(np.max(signed))
-        # all probes at the noise floor: decide by the one-sided slope,
-        # provided its increment clears both round-off and the zero residual
-        h = delta_probe / 64.0
-        incr = omega_eval(kern, zeros_used, last + h) - omega_eval(kern, zeros_used, last)
-        if abs(incr) < max(2.0 * noise, 4.0 * residual):
-            return False
-        return sign * incr > 0
-
-    pos_ok = consistent(cand_pos, pos_zeros, +1.0)
-    neg_ok = consistent(cand_neg, neg_zeros, -1.0)
-    if pos_ok and neg_ok:
-        raise AmbiguousContinuation(
-            f"both sign hypotheses are consistent past x={last!r}"
-        )
-    return ContinuationVerdict(
-        bool(pos_ok), bool(neg_ok),
-        bool(np.any(cand_pos < -value_floor)), bool(np.any(cand_neg > value_floor)),
-    )
+    without, with_toggle = candidates(kern, zeros, delta_probe)
+    if len(zeros) % 2 == 1:  # band index even: the toggled band is a ring
+        return ContinuationVerdict(bool(with_toggle > 0.0), bool(without < 0.0))
+    return ContinuationVerdict(bool(without > 0.0), bool(with_toggle < 0.0))
 
 
 def q_star(sigma: float) -> float:
@@ -266,11 +258,15 @@ def solve_pattern(
 ) -> RingPattern:
     """Iterate next_zero / classify_continuation until breakdown or budget.
 
+    Each zero gets one verdict at a probe offset far below the next band.
     Stops with Degenerate when neither continuation is consistent (x* is the
-    last zero), with NonDegenerateAccumulation when the band width falls
-    below min_width (x* extrapolated), and with Truncated when max_zeros or
-    the horizon is exhausted first.  Raises InvalidParameter unless
-    root_tol < scan_step <= horizon.
+    last zero).  A zero where only the untoggled candidate holds is a touch,
+    not a crossing: it is dropped and the scan resumes past the probe, at
+    most max_zeros times in a row.  Stops with NonDegenerateAccumulation
+    when a band width falls below min_width or, past a crossing, below the
+    scan's resolution (x* extrapolated from five zeros up), and with
+    Truncated when max_zeros or the horizon is exhausted first.  Raises
+    InvalidParameter unless root_tol < scan_step <= horizon.
     """
     x1_scale = float(np.sqrt(kern.gamma_const / kern.cum(0.0, 1.0)))
     scan_step = x1_scale / 200.0 if scan_step is None else scan_step
@@ -288,60 +284,51 @@ def solve_pattern(
     if max_zeros < 1:
         raise InvalidParameter(f"max_zeros must be >= 1, got {max_zeros}")
     q_bound = q_star(kern.sigma)
+    # probe offset per unit band width: sqrt(eps) lies 500 times below the
+    # smallest next-band ratio seen from sigma 0.2 up (7.7e-6); below that
+    # the ratios approach q*, and 1e-3 q* keeps a margin of 245 or more
+    probe = min(float(np.sqrt(np.finfo(float).eps)), 1e-3 * q_bound)
 
     zeros = [0.0]
+    start = 0.0  # where the scan resumes: the last zero, or past a touch
     step = scan_step
+    touches = 0
     classification = Classification.TRUNCATED
-    x_star = 0.0
     while True:
-        z = next_zero(kern, zeros, step, root_tol, horizon)
+        z = next_zero(kern, zeros, step, root_tol, horizon, start)
         if z is None:
-            classification = Classification.TRUNCATED
-            x_star = zeros[-1]
+            break
+        if z == start:  # the band is below resolution
+            if len(zeros) > 1 and start == zeros[-1]:
+                classification = Classification.NON_DEGENERATE_ACCUMULATION
             break
         zeros.append(z)
         width = zeros[-1] - zeros[-2]
         if width < min_width:
-            # below the declared resolution, continuation verdicts are noise
             classification = Classification.NON_DEGENERATE_ACCUMULATION
-            x_star = (
-                _extrapolate(np.asarray(zeros), q_bound)
-                if len(zeros) >= 5
-                else zeros[-1]
-            )
             break
-        # a probe span wider than the (unknown) next band falsifies a healthy
-        # continuation, so descend the probe scale until some hypothesis is
-        # consistent; a degenerate verdict needs informative (above-floor)
-        # refutation of both hypotheses at some scale, otherwise the cascade
-        # has merely exhausted the floating-point resolution
-        delta = width / 4.0
-        delta_floor = 64.0 * np.finfo(float).eps * max(zeros[-1], 1.0)
-        refuted_pos = refuted_neg = False
-        while True:
-            verdict = classify_continuation(kern, zeros, delta, root_tol)
-            refuted_pos |= verdict.positive_refuted
-            refuted_neg |= verdict.negative_refuted
-            if not verdict.degenerate or delta / 16.0 <= delta_floor:
-                break
-            delta /= 16.0
+        delta = probe * width
+        verdict = classify_continuation(kern, zeros, delta)
         if verdict.degenerate:
-            if refuted_pos and refuted_neg:
-                classification = Classification.DEGENERATE
-                x_star = zeros[-1]
-            elif len(zeros) >= 5:
-                classification = Classification.NON_DEGENERATE_ACCUMULATION
-                x_star = _extrapolate(np.asarray(zeros), q_bound)
-            else:
-                classification = Classification.TRUNCATED
-                x_star = zeros[-1]
+            classification = Classification.DEGENERATE
             break
-        if len(zeros) >= max_zeros + 1 or zeros[-1] >= horizon:
-            classification = Classification.TRUNCATED
-            x_star = zeros[-1]
+        # the toggled hypothesis takes the new band's sign, + on even bands
+        if not (verdict.positive_consistent if len(zeros) % 2 else verdict.negative_consistent):
+            zeros.pop()
+            touches += 1
+            start = z + delta
+            if touches > max_zeros:
+                break
+            continue
+        touches = 0
+        start = z
+        if len(zeros) >= max_zeros + 1 or z >= horizon:
             break
         step = max(min(step, width / 4.0), root_tol * 4.0)
 
+    x_star = zeros[-1]
+    if classification is Classification.NON_DEGENERATE_ACCUMULATION and len(zeros) >= 5:
+        x_star = _extrapolate(np.asarray(zeros), q_bound)
     widths = tuple(np.diff(zeros))
     ratios = tuple(np.diff(zeros)[1:] / np.diff(zeros)[:-1]) if len(zeros) > 2 else ()
     return RingPattern(

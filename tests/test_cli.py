@@ -6,9 +6,10 @@ import threading
 import numpy as np
 import pytest
 
+from liesegang import degenerate as dg
 from liesegang import rings
 from liesegang.cli import dispatch, load_kernel_file
-from liesegang.kernel import MAX_TABLE_POINTS, synthetic_kernel
+from liesegang.kernel import MAX_TABLE_POINTS, kernel_from_samples, synthetic_kernel
 from liesegang.profile import ModelParams, solve_kappa
 
 
@@ -209,7 +210,7 @@ def test_pde_csv(tmp_path):
     assert len(srows) % (6 * 32) == 0
 
 
-@pytest.mark.parametrize("sigma", [0.2, 0.3, 0.5, 0.55])
+@pytest.mark.parametrize("sigma", [0.2, 0.3, 0.5, 0.55, 0.462021])
 def test_degenerate_roundtrip(tmp_path, sigma):
     # the reimport interpolates the exported cumK, so it keeps the
     # construction's two zeros and its tangential breakdown at x2 + eps
@@ -226,6 +227,42 @@ def test_degenerate_roundtrip(tmp_path, sigma):
     x_break = float(meta["x2"]) + float(meta["epsilon"])
     assert pattern.zeros[2] == pytest.approx(x_break, rel=1e-6)
     assert pattern.x_star == pytest.approx(x_break, rel=1e-6)
+
+
+def test_touch_is_scanned_past(monkeypatch):
+    # the former export clustered 44 geometric nodes on each side of each
+    # theta_breaks entry; rebuilt from those nodes at sigma 0.462021, the
+    # kernel's omega first meets zero just short of x2 + eps and turns back
+    # (only the untoggled candidate holds), so that zero is dropped and the
+    # scan resumes past the probe to the breakdown itself
+    sigma = 0.462021
+    cons = dg.construct_degenerate(synthetic_kernel(sigma, 1.0))
+    spacing = np.pi / (2.0 * 2048)
+    cluster = [
+        np.clip(c + s * spacing * 0.5**k, 0.0, 1.0)
+        for c in cons.theta_breaks for s in (-1.0, 1.0) for k in range(44)
+    ]
+    base = np.sin(np.linspace(0.0, np.pi / 2.0, 2049)) ** 2
+    thetas = np.unique(np.concatenate([base, cluster, cons.theta_breaks]))
+    kern = kernel_from_samples(
+        thetas, cons.result.eval(thetas), cons.result.cum(0.0, thetas), sigma,
+        cons.result.k_coeff, cons.result.gamma_const,
+    )
+    verdicts = []
+    classify = rings.classify_continuation
+
+    def recorded(kern, zeros, delta):
+        verdicts.append((len(zeros) - 1, classify(kern, zeros, delta)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(rings, "classify_continuation", recorded)
+    pattern = rings.solve_pattern(kern, max_zeros=8)
+    touches = [n for n, v in verdicts if n == 2 and v.negative_consistent]
+    assert len(touches) == 1
+    assert len(pattern.zeros) == 3
+    assert pattern.classification is rings.Classification.DEGENERATE
+    x_break = cons.x2 + cons.epsilon
+    assert abs(pattern.zeros[2] - x_break) <= 1e-9 * x_break
 
 
 def test_kernel_export_roundtrip(tmp_path):

@@ -456,16 +456,29 @@ def test_kernel_calls_do_not_grow_with_the_node_count(synthetic, synthetic_patte
 def test_mollified_converges_to_regular_extension():
     # past x*, omega_eps -> 0 and rho_eps -> rho_reg at first order in eps.
     # Measured on x > 1.02 x*: the max rho gap near ring edges and near x*
-    # decays slowly, so the rho check is on the mean gap.  sigma 0.3 breaks
-    # down degenerately, sigma 0.4 by non-degenerate accumulation.
+    # decays slowly, so the rho check is on the mean gap.  sigma 0.3 and 0.4
+    # both accumulate; the third case is sigma 0.3's first six zeros labelled
+    # Degenerate, with x* at the last zero.
     eps = [1.6e-2, 8e-3, 4e-3, 2e-3]
-    labels = set()
+    cases = []
     for sigma in (0.3, 0.4):
         kern = kernel.synthetic_kernel(sigma, 1.0)
         pattern = rings.solve_pattern(kern)
-        labels.add(pattern.classification)
+        assert pattern.classification is rings.Classification.NON_DEGENERATE_ACCUMULATION
+        cases.append((kern, pattern))
+    kern, pattern = cases[0]
+    zeros = pattern.zeros[:7]
+    at_zero = rings.RingPattern(
+        zeros=zeros, widths=tuple(np.diff(zeros)),
+        ratios=tuple(np.diff(zeros)[1:] / np.diff(zeros)[:-1]),
+        classification=rings.Classification.DEGENERATE, x_star=zeros[-1],
+        q_star_bound=pattern.q_star_bound,
+    )
+    cases.append((kern, at_zero))
+    for kern, pattern in cases:
         b = 1.5 * pattern.x_star
-        grid, omegas = extended.mollified_solve(kern, [extended.Mollifier(e) for e in eps], b, 5e-4)
+        mollifiers = [extended.Mollifier(e) for e in eps]
+        grid, omegas = extended.mollified_solve(kern, mollifiers, b, 5e-4)
         reg = extended.regular_extension_solve(kern, pattern, b, 1e-3)
         past = grid > 1.02 * pattern.x_star
         # rho_reg is per panel: interpolate through the panel midpoints
@@ -478,9 +491,6 @@ def test_mollified_converges_to_regular_extension():
             assert gap <= 0.5 * e
         for s1, s2 in zip(sups, sups[1:]):
             assert 0.45 <= s2 / s1 <= 0.55
-    assert labels == {
-        rings.Classification.DEGENERATE, rings.Classification.NON_DEGENERATE_ACCUMULATION
-    }
 
 
 # each example runs the whole pipeline (about 0.2 s), so a failure is

@@ -77,13 +77,23 @@ def test_initial_state(params02, small_config):
     assert state.j == 0
 
 
+def zero_state(config):
+    """init's state with w = 0: the profile Phi itself, no excess."""
+    state = pde.init(config)
+    state.w = np.zeros_like(state.w)
+    return state
+
+
 def test_initial_phi_hook(small_config):
-    state = pde.init(small_config, initial="phi")
-    assert np.all(state.w == 0.0)
+    # from w = 0 (the profile Phi itself) and p = 0 the right side is the source alone
+    state = zero_state(small_config)
+    _, _, _, b = pde.assemble_system(state, small_config)
+    assert np.array_equal(b[1:], state.src[1:])
+    assert b[0] == b[1]
 
 
 def test_zero_dynamics(small_config):
-    state = pde.init(small_config, initial="phi")
+    state = zero_state(small_config)
     for _ in range(20):
         pde.step(state, small_config, p_override=np.zeros(small_config.n_full),
                  source_on=False)
@@ -92,7 +102,7 @@ def test_zero_dynamics(small_config):
 
 def test_fractional_p_keeps_stationary(small_config):
     # p = gamma/(eta s)^2 below the source line balances the forcing exactly
-    state = pde.init(small_config, initial="phi")
+    state = zero_state(small_config)
     for _ in range(50):
         s = (state.j + 1) * small_config.ds
         i_arr = np.arange(small_config.n_full)

@@ -169,18 +169,61 @@ def test_ring_widths_decreasing(synthetic_pattern):
 
 
 def test_classify_at_first_zero(synthetic, synthetic_pattern):
-    v = rings.classify_continuation(synthetic, list(synthetic_pattern.zeros[:2]), 0.1)
+    zeros = list(synthetic_pattern.zeros[:2])
+    v = rings.classify_continuation(synthetic, zeros, 0.1)
     assert not v.positive_consistent
     assert v.negative_consistent
-    # past x1 the ring candidate (no toggle) is negative above the floor
-    assert v.positive_refuted
-    assert not v.negative_refuted
+    assert not v.degenerate
+    # past x1 the ring candidate (no toggle) is negative
+    without, with_toggle = rings.candidates(synthetic, zeros, 0.1)
+    assert with_toggle < 0.0 and without < 0.0
 
 
 def test_classify_at_second_zero(synthetic, synthetic_pattern):
     v = rings.classify_continuation(synthetic, list(synthetic_pattern.zeros[:3]), 1e-3)
     assert v.positive_consistent
     assert not v.negative_consistent
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_candidates_match_omega_eval_at_a_wide_offset(synthetic, synthetic_pattern, n):
+    # at 0.3 band widths the anchored candidates are the partial sums
+    # themselves, up to the partial sums' rounding (omega(z_n) is not 0 there)
+    zeros = list(synthetic_pattern.zeros[: n + 1])
+    x = zeros[-1] + 0.3 * (zeros[-1] - zeros[-2])
+    without, with_toggle = rings.candidates(synthetic, zeros, x - zeros[-1])
+    tol = 8.0 * np.finfo(float).eps * synthetic.gamma_const
+    assert abs(without - rings.omega_eval(synthetic, zeros[:-1], x)) <= tol
+    assert abs(with_toggle - rings.omega_eval(synthetic, zeros, x)) <= tol
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_candidates_are_linear_at_a_tiny_offset(synthetic, synthetic_pattern, n):
+    # at 1e-12 widths the partial sums are rounding noise; the anchored
+    # candidates still double with d, the toggle's d^(1+sigma) term aside
+    zeros = list(synthetic_pattern.zeros[: n + 1])
+    d = 1e-12 * (zeros[-1] - zeros[-2])
+    a1, b1 = rings.candidates(synthetic, zeros, d)
+    a2, b2 = rings.candidates(synthetic, zeros, 2.0 * d)
+    assert a1 != 0.0 and abs(a2 / a1 - 2.0) <= 1e-9
+    assert abs(b2 / b1 - 2.0) <= 1e-4
+
+
+SIGMA_GRID = np.round(np.arange(0.20, 0.5501, 0.01), 2)
+
+
+@pytest.mark.parametrize("min_width_x1", [None, 1e-10])
+def test_no_degenerate_breakdown_on_the_sigma_grid(min_width_x1):
+    # an 80-digit evaluation of the template continues the pattern past 18
+    # zeros at every sigma of this grid; the former pooled probe cascade
+    # called 13 of them Degenerate at the default min_width and 22 at 1e-10 x1
+    labels = {}
+    for sigma in SIGMA_GRID:
+        kern = synthetic_kernel(float(sigma), 1.0)
+        x1 = float(np.sqrt(kern.gamma_const / kern.cum(0.0, 1.0)))
+        min_width = None if min_width_x1 is None else min_width_x1 * x1
+        labels[float(sigma)] = rings.solve_pattern(kern, min_width=min_width).classification
+    assert set(labels.values()) == {rings.Classification.NON_DEGENERATE_ACCUMULATION}, labels
 
 
 @pytest.mark.parametrize(
