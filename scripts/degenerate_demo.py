@@ -18,7 +18,7 @@ def main():
     ok = degenerate.verify_degeneracy(cons)
     print("degeneracy verified:  ", ok)
 
-    pattern = rings.solve_pattern(kern, max_zeros=4, root_tol=1e-12 * cons.x1)
+    pattern = rings.solve_pattern(kern, max_zeros=4)
     print("pattern zeros:        ", [f"{z:.8f}" for z in pattern.zeros])
     print("classification:       ", pattern.classification.value)
     x = cons.x2 + cons.epsilon + 1e-4

@@ -87,7 +87,6 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
 def _add_table_flags(p: argparse.ArgumentParser) -> None:
     """Resolution of the derived-kernel table."""
     p.add_argument("--table-points", type=int, default=2048)
-    p.add_argument("--quad-tol", type=float, default=1e-9)
 
 
 def load_kernel_file(path: str) -> Kernel:
@@ -140,7 +139,7 @@ def resolve_kernel(args) -> Kernel:
         return synthetic_kernel(args.sigma, args.scale)
     if args.kernel == "model":
         profile = solve_kappa(ModelParams(args.alpha, args.beta, args.ustar))
-        _, kern = build_kernel_table(profile, args.table_points, args.quad_tol)
+        _, kern = build_kernel_table(profile, args.table_points)
         return kern
     if args.kernel.startswith("file:"):
         return load_kernel_file(args.kernel[5:])
@@ -148,9 +147,10 @@ def resolve_kernel(args) -> Kernel:
 
 
 def cmd_profile(args) -> None:
-    if args.n < 2 or not 0.0 < args.eta_max < np.inf:
+    cap = kernel.MAX_TABLE_POINTS
+    if not 2 <= args.n <= cap or not 0.0 < args.eta_max < np.inf:
         raise InvalidParameter(
-            f"need --n >= 2 and 0 < --eta-max < inf, got {args.n} and {args.eta_max}"
+            f"need 2 <= --n <= {cap} and 0 < --eta-max < inf, got {args.n} and {args.eta_max}"
         )
     params = ModelParams(args.alpha, args.beta, args.ustar)
     report = check_solvability(params)
@@ -173,12 +173,12 @@ def cmd_profile(args) -> None:
 def cmd_kernel(args) -> None:
     params = ModelParams(args.alpha, args.beta, args.ustar)
     profile = solve_kappa(params)
-    table, kern = build_kernel_table(profile, args.table_points, args.quad_tol)
+    table, kern = build_kernel_table(profile, args.table_points)
     meta = {
         "command": "kernel", "alpha": args.alpha, "beta": args.beta,
         "ustar": args.ustar, "kappa": profile.kappa, "gamma": kern.gamma_const,
         "sigma": kern.sigma, "k_coeff": kern.k_coeff,
-        "table_points": args.table_points, "quad_tol": args.quad_tol,
+        "table_points": args.table_points, "quad_tol": kernel.TABLE_QUAD_TOL,
     }
     rows = zip(table.thetas, table.g_plus, table.g_minus, table.k_vals, table.cum_prefix)
     emit_csv(args.out, meta, ["theta", "G_plus", "G_minus", "K", "cumK"], rows)
@@ -188,20 +188,11 @@ def cmd_kernel(args) -> None:
 def cmd_rings(args) -> None:
     kern = resolve_kernel(args)
     pattern = rings.solve_pattern(
-        kern,
-        max_zeros=args.max_zeros,
-        min_width=args.min_width,
-        horizon=args.horizon,
-        scan_step=args.scan_step,
-        root_tol=args.root_tol,
+        kern, max_zeros=args.max_zeros, min_width=args.min_width, horizon=args.horizon
     )
     meta = {"command": "rings", "kernel": kern.label, "gamma": kern.gamma_const}
-    rows = []
-    z = pattern.zeros
-    for n in range(1, len(z)):
-        d_n = pattern.widths[n - 1]
-        q_n = pattern.ratios[n - 2] if 2 <= n <= len(pattern.ratios) + 1 else ""
-        rows.append((n, z[n], d_n, q_n))
+    z, widths, ratios = pattern.zeros, pattern.widths, ("",) + pattern.ratios
+    rows = [(n, z[n], widths[n - 1], ratios[n - 1]) for n in range(1, len(z))]
     trailer = {
         "classification": pattern.classification.value,
         "x_star": pattern.x_star,
@@ -302,12 +293,11 @@ def cmd_pde(args) -> None:
 def cmd_compare(args) -> None:
     params = ModelParams(args.alpha, args.beta, args.ustar)
     profile = solve_kappa(params)
-    _, kern = build_kernel_table(profile, args.table_points, args.quad_tol)
+    _, kern = build_kernel_table(profile, args.table_points)
     pattern = rings.solve_pattern(kern, max_zeros=8, min_width=1e-6, horizon=50.0 * args.alpha)
     config = pde.PdeConfig(params, N=args.N, ds=args.ds, s_max=args.smax, model="simplified")
     result = pde.run(config)
     report = pde.parabola_compare(result, kern, pattern)
-    omega_ref = rings.omega_eval(kern, list(pattern.zeros), args.alpha * result.s)
     meta = {
         "command": "compare", "alpha": args.alpha, "beta": args.beta,
         "ustar": args.ustar, "N": args.N, "ds": args.ds, "smax": args.smax,
@@ -318,8 +308,8 @@ def cmd_compare(args) -> None:
         "zero_times": ";".join(_fmt(t) for t in report.zero_times),
     }
     rows = zip(
-        result.s, args.alpha * result.s, result.trace_w, omega_ref,
-        np.abs(result.trace_w - omega_ref),
+        result.s, args.alpha * result.s, result.trace_w, report.omega_ref,
+        np.abs(result.trace_w - report.omega_ref),
     )
     emit_csv(args.out, meta, ["s", "x", "w_trace", "omega", "abs_diff"], rows)
     print(
@@ -351,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-zeros", type=int, default=64)
     p.add_argument("--min-width", type=float, default=None)
     p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--scan-step", type=float, default=None)
-    p.add_argument("--root-tol", type=float, default=None)
     p.set_defaults(func=cmd_rings)
 
     p = sub.add_parser("degenerate", help="construct a degenerate-breakdown kernel")

@@ -204,10 +204,10 @@ class PartialKernel:
     g_at_r: float
 
 
-def kernel_from_bridge(template: Kernel, bridge: GapBridge, x1: float) -> PartialKernel:
+def kernel_from_bridge(bridge: GapBridge) -> PartialKernel:
     """Read K_eps off the bridge on [x1/(x2 + 2 eps), 1] and integrate it."""
-    gamma = template.gamma_const
-    x2, eps = bridge.x2, bridge.epsilon
+    gamma = bridge.template.gamma_const
+    x1, x2, eps = bridge.x1, bridge.x2, bridge.epsilon
     r = x1 / (x2 + 2.0 * eps)
 
     @pointwise
@@ -254,7 +254,7 @@ def choose_epsilon(template: Kernel, x1: float, x2: float) -> PartialKernel:
         eps = x2 * 2.0**-k
         try:
             bridge = build_gap_bridge(template, x1, x2, eps)
-            partial = kernel_from_bridge(template, bridge, x1)
+            partial = kernel_from_bridge(bridge)
         except (BridgeInfeasible, PositivityViolation):
             continue
         r = partial.r
@@ -281,7 +281,7 @@ class DegenerateConstruction:
     theta_breaks: tuple = ()  # kink/cusp locations of K_hat, for samplers
 
 
-def fill_head(template: Kernel, partial: PartialKernel) -> DegenerateConstruction:
+def fill_head(partial: PartialKernel) -> DegenerateConstruction:
     """Head construction on [0, r) and assembly of the full kernel K_hat.
 
     Choose the smallest tail power n with
@@ -293,8 +293,9 @@ def fill_head(template: Kernel, partial: PartialKernel) -> DegenerateConstructio
     and int G_hat = Gamma; the moments, b_norm, head and prefix all come
     from one polynomial per bump, so int K_hat meets int K* to rounding.
     """
-    gamma = template.gamma_const
     bridge, r = partial.bridge, partial.r
+    template = bridge.template
+    gamma = template.gamma_const
     total_k = template.cum(0.0, 1.0)
     mass_k = total_k - partial.int_k
     mass_g = gamma - partial.int_g
@@ -406,7 +407,7 @@ def construct_degenerate(template: Kernel | None = None) -> DegenerateConstructi
     template = template or default_template()
     x1, x2 = template_zeros(template)
     partial = choose_epsilon(template, x1, x2)
-    cons = fill_head(template, partial)
+    cons = fill_head(partial)
 
     # mass identities must hold by construction; verify to 1e-8 with the
     # head contribution in closed form and the K_eps region independently
@@ -430,17 +431,14 @@ def verify_degeneracy(cons: DegenerateConstruction) -> bool:
     """Solve the ring pattern for K_hat and certify the breakdown at x2 + eps."""
     kern = cons.result
     x_break = cons.x2 + cons.epsilon
-    root_tol = 1e-12 * cons.x1
-    pattern = rings.solve_pattern(
-        kern, max_zeros=4, root_tol=root_tol, horizon=3.0 * x_break
-    )
+    pattern = rings.solve_pattern(kern, max_zeros=4, horizon=3.0 * x_break)
     if pattern.classification is not rings.Classification.DEGENERATE:
         raise VerificationFailed(
             f"pattern classified {pattern.classification.value}, expected Degenerate"
         )
     if len(pattern.zeros) != 3:
         raise VerificationFailed(f"expected exactly 2 zeros, got {len(pattern.zeros) - 1}")
-    if abs(pattern.zeros[1] - cons.x1) > 10.0 * root_tol:
+    if abs(pattern.zeros[1] - cons.x1) > 1e-11 * cons.x1:
         raise VerificationFailed("first zero does not match the template x1")
     # the second zero is tangential (value and slope vanish), so its
     # location is conditioned only to the width of the round-off plateau

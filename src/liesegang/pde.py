@@ -249,6 +249,7 @@ def run(config: PdeConfig) -> PdeRun:
 
 @dataclass(frozen=True)
 class CompareReport:
+    omega_ref: np.ndarray  # the relay solution omega(alpha s) at each traced s
     sup_trace_diff: float
     pde_toggles: tuple  # s locations where the source-cell relay switches
     zero_times: tuple  # pattern zeros mapped to similarity time x_i / alpha
@@ -280,6 +281,7 @@ def parabola_compare(run_result: PdeRun, kern: Kernel, pattern: RingPattern) -> 
     else:
         phys_cells = sim_cells = float("inf")
     return CompareReport(
+        omega_ref=omega_ref,
         sup_trace_diff=sup_diff,
         pde_toggles=toggles,
         zero_times=zero_times,

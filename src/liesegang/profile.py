@@ -84,13 +84,11 @@ def threshold_candidates(params: ModelParams) -> tuple[float, float]:
     """The two gamma = 0 threshold values, at kappa = 0 and kappa = 1.
 
     gamma = kappa*(kappa - 1) vanishes at both kappa values and they give
-    different thresholds; both are reported, the operational solvability
-    test below uses the kappa = 1 value (root bracket starts there).
+    different thresholds, Psi(alpha) and u_star_curve(params, 1); both are
+    reported, the operational solvability test below uses the kappa = 1
+    value (root bracket starts there).
     """
-    a, b = params.alpha, params.beta
-    at_zero = (a * b / 2.0) * SQRT_PI * np.exp(a * a / 4.0) * erfc(a / 2.0)
-    at_one = u_star_curve(params, 1.0)
-    return float(at_zero), float(at_one)
+    return psi_at_source(params), float(u_star_curve(params, 1.0))
 
 
 @dataclass(frozen=True)
@@ -170,9 +168,9 @@ def phi_eval(profile: Profile, eta):
 
 
 def psi_at_source(params: ModelParams) -> float:
-    """Psi(alpha) = (alpha*beta*sqrt(pi)/2) e^{alpha^2/4} erfc(alpha/2)."""
+    """Psi(alpha) = (alpha*beta/2) sqrt(pi) e^{alpha^2/4} erfc(alpha/2)."""
     a = params.alpha
-    return float(params.beta * a * SQRT_PI / 2.0 * np.exp(a * a / 4.0) * erfc(a / 2.0))
+    return float(a * params.beta / 2.0 * SQRT_PI * np.exp(a * a / 4.0) * erfc(a / 2.0))
 
 
 @pointwise

@@ -44,14 +44,21 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class RingPattern:
-    """Ordered zeros with widths, ratios and breakdown classification."""
+    """Ordered zeros with breakdown classification; widths and ratios follow."""
 
     zeros: tuple
-    widths: tuple
-    ratios: tuple
     classification: Classification
     x_star: float
     q_star_bound: float
+
+    @property
+    def widths(self) -> tuple:
+        return tuple(np.diff(self.zeros))
+
+    @property
+    def ratios(self) -> tuple:
+        w = np.diff(self.zeros)
+        return tuple(w[1:] / w[:-1])
 
     def precipitated(self):
         """Precipitated intervals in order: the rings (x_2j, x_2j+1) and,
@@ -105,9 +112,9 @@ def _band_value(x, kern: Kernel, zeros) -> float:
 
 
 def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
-              horizon: float, start: float | None = None) -> float | None:
-    """Scan from start (default: the last zero) for the next sign change,
-    then refine it with Brent's method to 4 eps relative.
+              horizon: float, start: float) -> float | None:
+    """Scan from start (the last zero, or past a touch) for the next sign
+    change, then refine it with Brent's method to 4 eps relative.
 
     root_tol is the scan floor: the anchor past start backs off no closer
     than root_tol/4, and a rescaled stride stays at least 8 root_tol.
@@ -117,21 +124,20 @@ def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
     MAX_SCAN_POINTS points.
     """
     require_positive(scan_step=scan_step, root_tol=root_tol, horizon=horizon)
-    last = (zeros[-1] if zeros else 0.0) if start is None else start
     n = len(zeros) - 1  # index of the open band
     band_sign = (-1.0) ** n
 
     # establish a same-sign anchor just past the zero
-    a = last + scan_step
+    a = start + scan_step
     backoff = 0
     while np.sign(omega_eval(kern, zeros, a)) != band_sign:
-        a = last + (a - last) / 4.0
+        a = start + (a - start) / 4.0
         backoff += 1
-        if backoff > 60 or (a - last) < root_tol / 4.0:
-            return last
+        if backoff > 60 or (a - start) < root_tol / 4.0:
+            return start
     # a backoff means the band is thinner than the stride; rescale the scan
     # so the bracketing cannot jump across a whole band
-    step = min(scan_step, max(2.0 * (a - last), 8.0 * root_tol))
+    step = min(scan_step, max(2.0 * (a - start), 8.0 * root_tol))
     x_prev = a
     block = 512
     scanned = 0
@@ -143,7 +149,7 @@ def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
         scanned += len(xs)
         if scanned > MAX_SCAN_POINTS:
             raise InvalidParameter(
-                f"a stride of {step:.3g} from {last:.6g} needs over {MAX_SCAN_POINTS} scan points"
+                f"a stride of {step:.3g} from {start:.6g} needs over {MAX_SCAN_POINTS} scan points"
             )
         vals = omega_eval(kern, zeros, xs)
         flip = np.nonzero(np.sign(vals) == -band_sign)[0]
@@ -253,12 +259,13 @@ def solve_pattern(
     max_zeros: int = 64,
     min_width: float | None = None,
     horizon: float | None = None,
-    scan_step: float | None = None,
-    root_tol: float | None = None,
 ) -> RingPattern:
     """Iterate next_zero / classify_continuation until breakdown or budget.
 
-    Each zero gets one verdict at a probe offset far below the next band.
+    With x1 = sqrt(Gamma / int K), the first zero of any kernel, the scan
+    starts at strides of x1/200 and refines to a floor of 1e-12 x1; min_width
+    and horizon default to 1e-9 x1 and 20 x1.  Each zero gets one verdict at
+    a probe offset far below the next band.
     Stops with Degenerate when neither continuation is consistent (x* is the
     last zero).  A zero where only the untoggled candidate holds is a touch,
     not a crossing: it is dropped and the scan resumes past the probe, at
@@ -266,21 +273,16 @@ def solve_pattern(
     when a band width falls below min_width or, past a crossing, below the
     scan's resolution (x* extrapolated from five zeros up), and with
     Truncated when max_zeros or the horizon is exhausted first.  Raises
-    InvalidParameter unless root_tol < scan_step <= horizon.
+    InvalidParameter unless the horizon is at least x1/200.
     """
     x1_scale = float(np.sqrt(kern.gamma_const / kern.cum(0.0, 1.0)))
-    scan_step = x1_scale / 200.0 if scan_step is None else scan_step
-    root_tol = 1e-12 * x1_scale if root_tol is None else root_tol
+    scan_step = x1_scale / 200.0
+    root_tol = 1e-12 * x1_scale
     min_width = 1e-9 * x1_scale if min_width is None else min_width
     horizon = 20.0 * x1_scale if horizon is None else horizon
-    require_positive(
-        min_width=min_width, horizon=horizon, scan_step=scan_step, root_tol=root_tol
-    )
-    if not root_tol < scan_step <= horizon:
-        raise InvalidParameter(
-            f"need root_tol < scan_step <= horizon, got root_tol={root_tol}, "
-            f"scan_step={scan_step}, horizon={horizon}"
-        )
+    require_positive(x1=x1_scale, min_width=min_width, horizon=horizon)
+    if not scan_step <= horizon:
+        raise InvalidParameter(f"horizon must be at least x1/200 = {scan_step}, got {horizon}")
     if max_zeros < 1:
         raise InvalidParameter(f"max_zeros must be >= 1, got {max_zeros}")
     q_bound = q_star(kern.sigma)
@@ -329,12 +331,8 @@ def solve_pattern(
     x_star = zeros[-1]
     if classification is Classification.NON_DEGENERATE_ACCUMULATION and len(zeros) >= 5:
         x_star = _extrapolate(np.asarray(zeros), q_bound)
-    widths = tuple(np.diff(zeros))
-    ratios = tuple(np.diff(zeros)[1:] / np.diff(zeros)[:-1]) if len(zeros) > 2 else ()
     return RingPattern(
         zeros=tuple(zeros),
-        widths=widths,
-        ratios=ratios,
         classification=classification,
         x_star=float(x_star),
         q_star_bound=q_bound,

@@ -72,7 +72,7 @@ def test_criterion_3_kernel_properties(profile02, profile015, profile01):
         for prof in (profile02, profile015, profile01):
             decay = [kn.k_eval(prof, h, 1e-10) / h for h in (1e-2, 1e-3, 1e-4, 1e-5)]
             assert all(b < a for a, b in zip(decay, decay[1:]))
-            k_vals = kn.k_grid(prof, thetas)
+            k_vals = thetas**2 * (kn._g_grid(prof, thetas) + kn._g_grid(prof, -thetas))
             d2 = np.diff(k_vals, 2)
             nz = d2[np.abs(d2) > 0]
             changes = int(np.sum(np.diff(np.sign(nz)) != 0))

@@ -234,7 +234,9 @@ def test_touch_is_scanned_past(monkeypatch):
     # theta_breaks entry; rebuilt from those nodes at sigma 0.462021, the
     # kernel's omega first meets zero just short of x2 + eps and turns back
     # (only the untoggled candidate holds), so that zero is dropped and the
-    # scan resumes past the probe to the breakdown itself
+    # scan resumes past the probe to the breakdown itself.  Those nodes round
+    # cumK downward by up to 3.1e-14 of its largest value, which the loader
+    # refuses, so cumK is taken through its running maximum
     sigma = 0.462021
     cons = dg.construct_degenerate(synthetic_kernel(sigma, 1.0))
     spacing = np.pi / (2.0 * 2048)
@@ -245,8 +247,8 @@ def test_touch_is_scanned_past(monkeypatch):
     base = np.sin(np.linspace(0.0, np.pi / 2.0, 2049)) ** 2
     thetas = np.unique(np.concatenate([base, cluster, cons.theta_breaks]))
     kern = kernel_from_samples(
-        thetas, cons.result.eval(thetas), cons.result.cum(0.0, thetas), sigma,
-        cons.result.k_coeff, cons.result.gamma_const,
+        thetas, cons.result.eval(thetas), np.maximum.accumulate(cons.result.cum(0.0, thetas)),
+        sigma, cons.result.k_coeff, cons.result.gamma_const,
     )
     verdicts = []
     classify = rings.classify_continuation
@@ -322,7 +324,7 @@ def test_rings_non_finite_scale_exits_two(tmp_path, capsys, scale):
     )
 
 
-@pytest.mark.parametrize("flag", ["--horizon", "--scan-step", "--root-tol", "--min-width"])
+@pytest.mark.parametrize("flag", ["--horizon", "--min-width"])
 def test_rings_nan_tuning_flag_exits_two(tmp_path, capsys, flag):
     err = assert_input_error(
         ["rings", flag, "nan", "--out", str(tmp_path / "r.csv")], capsys
@@ -363,19 +365,13 @@ def test_model_parameter_rejected_by_name(tmp_path, capsys, recwarn, command, fl
         ["profile", "--n", "0"],
         ["profile", "--eta-max", "nan"],
         ["profile", "--eta-max", "inf"],
-        ["kernel", "--quad-tol", "1e-300"],
+        ["profile", "--n", str(MAX_TABLE_POINTS + 1)],
         ["degenerate", "--table-points", "0"],
         ["degenerate", "--table-points", "-5"],
         ["rings", "--max-zeros", "0"],
         ["rings", "--max-zeros", "-1"],
-        ["rings", "--scan-step", "1e-15"],
-        ["rings", "--scan-step", "1e-300"],
-        # solve_pattern needs root_tol < scan_step <= horizon
-        ["rings", "--scan-step", "1e300"],
-        ["rings", "--root-tol", "1e300"],
+        # solve_pattern needs a horizon of at least its first stride, x1/200
         ["rings", "--horizon", "1e-4"],
-        # past that check, next_zero caps its scan at MAX_SCAN_POINTS
-        ["rings", "--scan-step", "1e-15", "--root-tol", "1e-16"],
         ["pde", "--smax", "inf"],
         ["pde", "--smax", "1e300"],
         ["pde", "--ds", "1e-300"],
@@ -413,6 +409,61 @@ def test_degenerate_overflowing_scale_fails_verification(tmp_path, capsys):
     assert "synthetic(sigma=0.5, scale=1e+300): kernel mass mismatch nan" in err
     assert "Traceback" not in err
     assert not (tmp_path / "d.csv").exists()
+
+
+NUMERIC_FLAGS = [
+    (["extended", "--mode", mode], flag) for mode in ("mollified", "regular")
+    for flag in ("--b", "--h", "--eps")
+] + [
+    (["pde", "--model", model], flag) for model in ("simplified", "full")
+    for flag in ("--ds", "--smax")
+] + [(["profile"], "--eta-max"), (["compare"], "--ds"), (["compare"], "--smax")]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-300", "1e300"])
+@pytest.mark.parametrize(
+    "argv, flag", NUMERIC_FLAGS, ids=lambda v: "_".join(v) if isinstance(v, list) else v
+)
+def test_numeric_flag_never_raises(tmp_path, capsys, argv, flag, value):
+    # none of these values starts a long run: each is refused, or costs about
+    # what the subcommand's defaults cost
+    rc = dispatch(argv + [f"{flag}={value}", "--out", str(tmp_path / "o.csv")])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def write_kernel_file(path, thetas, k_vals, cums):
+    lines = ["# sigma = 0.5", "# k_coeff = 1", "# gamma = 0.6666666666666666", "theta,K,cumK"]
+    lines += [f"{t:.17g},{k:.17g},{c:.17g}" for t, k, c in zip(thetas, k_vals, cums)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_rings_scan_cap_exits_two(tmp_path, capsys):
+    # K = 1 has one zero; its scan at strides of x1/200 from there would
+    # need about 1e302 points to reach the horizon
+    thetas = np.linspace(0.0, 1.0, 200)
+    path = tmp_path / "k.csv"
+    write_kernel_file(path, thetas, np.ones_like(thetas), thetas)
+    err = assert_input_error(
+        ["rings", "--kernel", f"file:{path}", "--horizon", "1e300",
+         "--out", str(tmp_path / "r.csv")], capsys,
+    )
+    assert f"needs over {rings.MAX_SCAN_POINTS} scan points" in err
+
+
+def test_rings_falling_cumk_exits_two(tmp_path, capsys):
+    # cumK must be non-decreasing exactly: a fall of 1e-13 of its largest value
+    # is refused by name
+    kern = synthetic_kernel(0.5, 1.0)
+    thetas = np.linspace(0.0, 1.0, 200)
+    cums = kern.cum(0.0, thetas)
+    cums[100] = cums[101] + 1e-13 * cums[-1]
+    path = tmp_path / "k.csv"
+    write_kernel_file(path, thetas, kern.eval(thetas), cums)
+    err = assert_input_error(
+        ["rings", "--kernel", f"file:{path}", "--out", str(tmp_path / "r.csv")], capsys
+    )
+    assert "cumK" in err
 
 
 @pytest.mark.parametrize(

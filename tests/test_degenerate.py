@@ -27,8 +27,8 @@ def bridge(template, zeros12):
 
 
 @pytest.fixture(scope="module")
-def partial(template, bridge):
-    return dg.kernel_from_bridge(template, bridge, bridge.x1)
+def partial(bridge):
+    return dg.kernel_from_bridge(bridge)
 
 
 def test_template_zeros(template, zeros12):
@@ -282,9 +282,7 @@ def test_verify_degeneracy_across_sigma(constructions, sigma):
 
 
 def test_pattern_is_degenerate(construction):
-    pat = rings.solve_pattern(
-        construction.result, max_zeros=4, root_tol=1e-12 * construction.x1
-    )
+    pat = rings.solve_pattern(construction.result, max_zeros=4)
     assert pat.classification is rings.Classification.DEGENERATE
     assert pat.x_star == pat.zeros[-1]
     assert pat.zeros[1] == pytest.approx(construction.x1, abs=1e-10)

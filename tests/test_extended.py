@@ -179,7 +179,7 @@ def test_regular_extension_needs_breakdown(synthetic):
     truncated = rings.solve_pattern(synthetic, max_zeros=2)
     with pytest.raises(InvalidParameter):
         extended.regular_extension_solve(synthetic, truncated, 5.0, 1e-3)
-    ringless = rings.RingPattern((0.0,), (), (), rings.Classification.DEGENERATE, 0.0, 0.5)
+    ringless = rings.RingPattern((0.0,), rings.Classification.DEGENERATE, 0.0, 0.5)
     with pytest.raises(InvalidParameter, match="ring"):
         extended.regular_extension_solve(synthetic, ringless, 5.0, 1e-3)
 
@@ -469,9 +469,7 @@ def test_mollified_converges_to_regular_extension():
     kern, pattern = cases[0]
     zeros = pattern.zeros[:7]
     at_zero = rings.RingPattern(
-        zeros=zeros, widths=tuple(np.diff(zeros)),
-        ratios=tuple(np.diff(zeros)[1:] / np.diff(zeros)[:-1]),
-        classification=rings.Classification.DEGENERATE, x_star=zeros[-1],
+        zeros=zeros, classification=rings.Classification.DEGENERATE, x_star=zeros[-1],
         q_star_bound=pattern.q_star_bound,
     )
     cases.append((kern, at_zero))

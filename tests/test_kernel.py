@@ -434,8 +434,8 @@ def test_gamma_const_positive_and_matches_source_identity(alpha, beta, u_star):
 
 @pytest.mark.parametrize("alpha, beta, u_star", SOURCE_IDENTITY_POINTS)
 def test_gamma_const_meets_the_tightest_tolerance(alpha, beta, u_star):
-    # the CLI accepts --quad-tol down to QUAD_TOL_MIN: the default table
-    # passes its off-grid probes there and carries the closed-form Gamma
+    # build_kernel_table accepts quad_tol down to QUAD_TOL_MIN: the default
+    # table passes its off-grid probes there and carries the closed-form Gamma
     prof = solve_kappa(ModelParams(alpha, beta, u_star))
     _, kern = kn.build_kernel_table(prof, 2048, kn.QUAD_TOL_MIN)
     assert kern.gamma_const == kn.gamma_const(prof)
@@ -513,7 +513,7 @@ def test_property_one_decay(profile015):
 
 def test_property_three_single_inflection(profile015):
     thetas = np.linspace(1e-3, 1.0 - 1e-3, 2000)
-    k_vals = kn.k_grid(profile015, thetas)
+    k_vals = thetas**2 * (kn._g_grid(profile015, thetas) + kn._g_grid(profile015, -thetas))
     d2 = np.diff(k_vals, 2)
     nz = d2[np.abs(d2) > 0]
     assert int(np.sum(np.diff(np.sign(nz)) != 0)) == 1
@@ -563,9 +563,11 @@ def test_f_prime_single_sign_change(model_kernel015):
 
 def test_kernel_from_samples_roundtrip(synthetic):
     thetas = np.sin(np.linspace(0.0, np.pi / 2.0, 1025)) ** 2
+    # the closed-form prefix cancels O(1) terms, so its cumK at the first node
+    # past 0 rounds to -5.6e-17; the loader takes only non-decreasing cumK
+    cums = np.maximum.accumulate(synthetic.cum(0.0, thetas))
     rebuilt = kn.kernel_from_samples(
-        thetas, synthetic.eval(thetas), synthetic.cum(0.0, thetas), 0.5, 1.0,
-        synthetic.gamma_const,
+        thetas, synthetic.eval(thetas), cums, 0.5, 1.0, synthetic.gamma_const,
     )
     probe = np.linspace(0.01, 0.999, 301)
     assert np.max(np.abs(rebuilt.eval(probe) - synthetic.eval(probe))) < 2e-6

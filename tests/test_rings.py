@@ -81,14 +81,14 @@ def test_first_zero_closed_form():
     for sigma in np.linspace(0.02, 0.98 * SIGMA_MAX, 12):
         kern = synthetic_kernel(sigma, 1.0)
         x1 = np.sqrt(kern.gamma_const / kern.cum(0.0, 1.0))
-        z = rings.next_zero(kern, [0.0], 0.01, 1e-13, 10.0)
+        z = rings.next_zero(kern, [0.0], 0.01, 1e-13, 10.0, 0.0)
         assert abs(z - x1) <= 2.0 * np.finfo(float).eps * x1, sigma
 
 
 def test_next_zero_scan_is_capped(synthetic):
     # a stride of 1e-300 would need about 1e301 scan points to reach the horizon
     with pytest.raises(InvalidParameter):
-        rings.next_zero(synthetic, [0.0], 1e-300, 1e-13, 10.0)
+        rings.next_zero(synthetic, [0.0], 1e-300, 1e-13, 10.0, 0.0)
 
 
 def test_zero_refinement_work(synthetic, monkeypatch):
@@ -114,13 +114,13 @@ def test_next_zero_bracket_signs(synthetic):
 
 
 def test_next_zero_horizon(synthetic):
-    assert rings.next_zero(synthetic, [0.0], 0.01, 1e-13, 1.0) is None
+    assert rings.next_zero(synthetic, [0.0], 0.01, 1e-13, 1.0, 0.0) is None
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
 def test_tuning_values_must_be_positive_and_finite(synthetic, bad):
     with pytest.raises(InvalidParameter):
-        rings.next_zero(synthetic, [0.0], 0.01, 1e-13, bad)
+        rings.next_zero(synthetic, [0.0], 0.01, 1e-13, bad, 0.0)
     with pytest.raises(InvalidParameter):
         rings.classify_continuation(synthetic, [0.0, X1_EXACT], bad)
 
@@ -238,8 +238,7 @@ def test_no_degenerate_breakdown_on_the_sigma_grid(min_width_x1):
 )
 def test_precipitated_intervals(zeros, x_star, expect):
     pat = rings.RingPattern(
-        zeros=zeros, widths=tuple(np.diff(zeros)), ratios=(),
-        classification=rings.Classification.NON_DEGENERATE_ACCUMULATION,
+        zeros=zeros, classification=rings.Classification.NON_DEGENERATE_ACCUMULATION,
         x_star=x_star, q_star_bound=rings.q_star(0.5),
     )
     assert pat.precipitated() == expect
