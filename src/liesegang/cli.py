@@ -181,7 +181,8 @@ def cmd_kernel(args) -> None:
         "table_points": args.table_points, "quad_tol": kernel.TABLE_QUAD_TOL,
     }
     rows = zip(table.thetas, table.g_plus, table.g_minus, table.k_vals, table.cum_prefix)
-    emit_csv(args.out, meta, ["theta", "G_plus", "G_minus", "K", "cumK"], rows)
+    emit_csv(args.out, meta, ["theta", "G_plus", "G_minus", "K", "cumK"], rows,
+             trailer={"probe_max_err": max(table.probe_errors)})
     print(f"kernel: Gamma={kern.gamma_const:.10g} k={kern.k_coeff:.10g}")
 
 

@@ -25,14 +25,17 @@ near theta = 0.  K inherits K(0) = K'(0) = 0 and K ~ k sqrt(1-theta) with
 k = sqrt(2/pi) u*/alpha.
 
 G has two evaluators.  g_eval is adaptive (one QUADPACK call in log v,
-kummer_m) and serves scalar probes.  _g_grid, behind the tables, uses
-fixed 16-point Gauss panels in v: geometric ones of ratio <= 4 from v_min
-up to v = 1, then 6 panels that widen with v up to the e^-46 truncation;
-above kappa = 8 the v^(-kappa/2) fall near v_min gets ceil(kappa/8) times
-the panels.  At g_eval's quad_tol = 1e-11 the two agree to 1e-13 relative
-from kappa = 1.8 to 46 with theta down to 1e-10 and up to 1 - 1e-12, and
-to 1.3e-12 over 90 random profiles with alpha and beta in [0.3, 3] (worst
-at |theta| ~ 1e-7, kappa 7.5).
+a scalar Python integrand that sums Kummer's series term by term) and
+serves scalar probes.  _g_grid, behind the tables, uses fixed 16-point
+Gauss panels in v: geometric ones of ratio <= 4 from v_min up to v = 1,
+then 6 panels that widen with v up to the e^-46 truncation; above
+kappa = 8 the v^(-kappa/2) fall near v_min gets ceil(kappa/8) times the
+panels.  Every point with v_min < 1 shares the graded nodes v = 1 +
+offsets, whose weights _g_grid sets up once per call.  At g_eval's
+quad_tol = 1e-11 the two agree to 1e-13 relative from kappa = 1.8 to 46
+with theta down to 1e-10 and up to 1 - 1e-12, and to 1.3e-12 over 90
+random profiles with alpha and beta in [0.3, 3] (worst at |theta| ~ 1e-7,
+kappa 7.5).
 gamma * int G, the constant Gamma, is Psi(alpha) - u* in closed form.
 
 The module also hosts the generic Kernel container used by the ring-pattern,
@@ -43,6 +46,7 @@ kernels rebuilt from sampled values.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -53,7 +57,7 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import InvalidParameter, QuadratureFailure, SingularAtZero, require_positive
 from .profile import Profile, psi_at_source
-from .specfun import SQRT_PI, kummer_m, kummer_series, pointwise
+from .specfun import SQRT_PI, _check_b_and_z, _kummer_transformed, kummer_series, pointwise
 
 SIGMA_MAX = float(np.log2(3.0) - 1.0)  # admissible degeneracy exponents (0, log2 3 - 1)
 _V_CUT = 46.0  # e^-46 ~ 1e-20: exponential tail truncation
@@ -104,13 +108,15 @@ class Kernel:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Cached grid of kernel values and prefix integrals."""
+    """Cached grid of kernel values and prefix integrals, and the errors
+    |eval - k_eval| / max(1, |k_eval|) of the off-grid probes."""
 
     thetas: np.ndarray
     g_plus: np.ndarray
     g_minus: np.ndarray
     k_vals: np.ndarray
     cum_prefix: np.ndarray
+    probe_errors: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +162,6 @@ def synthetic_kernel(sigma: float, scale: float) -> Kernel:
 # derived-kernel quadrature
 
 
-def _psi_over_zeta3(profile: Profile, zeta):
-    """Phi(zeta)/zeta^3 on (0, alpha], via the Kummer branch."""
-    k = profile.kappa
-    z = np.asarray(zeta, dtype=float)
-    return profile.c1 * z ** (k - 3.0) * kummer_m(k / 2.0, k + 0.5, -z * z / 4.0)
-
-
 def _v_min(alpha: float, theta) -> np.ndarray:
     t = np.asarray(theta, dtype=float)
     return alpha * alpha * t * t * (1.0 - t) / (4.0 * (1.0 + t))
@@ -187,25 +186,27 @@ def g_eval(profile: Profile, theta: float, quad_tol: float = 1e-10) -> float:
     the same integrand for theta near 1, near -1 and near 0.
     theta = 0 is only defined for kappa > 2 (continuous extension); for
     kappa <= 2 it diverges and SingularAtZero is raised.
+    The integrands are scalar Python, with kummer_m's series
+    (_kummer_transformed) checked once per call for |z| <= alpha^2/4.
     """
     if not QUAD_TOL_MIN <= quad_tol <= 1e-6:
         raise InvalidParameter(f"quad_tol must lie in [{QUAD_TOL_MIN:.3g}, 1e-6], got {quad_tol}")
     if not -1.0 <= theta <= 1.0:
         raise InvalidParameter(f"theta must lie in [-1, 1], got {theta}")
     alpha = profile.params.alpha
+    c1, k = profile.c1, profile.kappa
+    a, b = k / 2.0, k + 0.5
+    _check_b_and_z(b, alpha * alpha / 4.0)
     if theta == 0.0:
-        if profile.kappa <= 2.0:
+        if k <= 2.0:
             raise SingularAtZero("G(0) diverges for kappa <= 2")
         c = alpha / SQRT_PI * np.exp(-alpha * alpha / 4.0)
 
         def f0(zeta):
             # Phi(zeta)/zeta^3 = [Phi/zeta^kappa] zeta^(kappa-3); the bracket is smooth
-            return profile.c1 * kummer_m(
-                profile.kappa / 2.0, profile.kappa + 0.5, -zeta * zeta / 4.0
-            )
+            return c1 * _kummer_transformed(a, b, -zeta * zeta / 4.0)
 
-        val, err = _quad(f0, 0.0, alpha, quad_tol,
-                         weight="alg", wvar=(profile.kappa - 3.0, 0.0))
+        val, err = _quad(f0, 0.0, alpha, quad_tol, weight="alg", wvar=(k - 3.0, 0.0))
         if err > 10.0 * quad_tol * abs(val):
             raise QuadratureFailure(f"G(0) quadrature error {err:.2e} above tolerance")
         return float(c * val)
@@ -215,14 +216,19 @@ def g_eval(profile: Profile, theta: float, quad_tol: float = 1e-10) -> float:
     vmin = float(_v_min(alpha, theta))
     if vmin > 700.0:
         return 0.0
+    if not vmin >= np.finfo(float).tiny:
+        # below it cc/v rounds past zeta = alpha, where the series would not stop
+        raise InvalidParameter(f"theta={theta}: v_min = {vmin:.3g} underflows")
     cc = (alpha * (1.0 - theta) / 2.0) ** 2
     athe = alpha * abs(theta)
 
     def f(w):
         # w = log v turns the algebraic fall near a small v_min
         # (theta -> 0 or 1) into an exponential one
-        v = np.exp(w)
-        return np.exp(-v) / np.sqrt(v) * _psi_over_zeta3(profile, athe * np.sqrt(1.0 + cc / v))
+        v = math.exp(w)
+        zeta = athe * math.sqrt(1.0 + cc / v)
+        psi = c1 * zeta ** (k - 3.0) * _kummer_transformed(a, b, -zeta * zeta / 4.0)
+        return math.exp(-v) / math.sqrt(v) * psi
 
     # the break at v = 1 keeps QUADPACK from accepting one panel that
     # straddles both regimes: near theta = 1 its error estimate read 3e-12
@@ -252,16 +258,21 @@ def _g_grid(profile: Profile, thetas) -> np.ndarray:
     v_min is near or above 1).  The layout agrees with one of ratio 1.5
     and width 1/4 to 1e-14 relative up to kappa = 46, and with g_eval as
     the module docstring states (1e-13, and 1.3e-12 at worst).
-    The panels of all points form one ragged list, evaluated in blocks of
-    about _BLOCK_PANELS panels that split only between points; each
-    point's panel sums are added in panel order by np.bincount.
 
-    Kummer's M here is kummer_series, set up once per call for |z| up to
-    alpha^2/4 (zeta <= alpha on every panel): its positive series is as
-    accurate as kummer_m and many times cheaper per node.  The scalar path
-    (g_eval, k_eval, the table's probes) calls kummer_m through
-    _psi_over_zeta3, which sums the series term by term rather than by
-    Horner, so the probes stay a separate check of this one.
+    The integrand is c1 e^-v v^-3/2 F(w), w = zeta^2/4 = A + B/v with
+    A = (alpha theta)^2/4 and B = A cc, F(w) = e^-w (4w)^((kappa-3)/2) P(w)
+    and P from kummer_series, set up once per call for w up to alpha^2/4
+    (zeta <= alpha).  Points with v_min < 1 share the graded nodes
+    v = 1 + offsets: their weights e^-v v^-3/2 (Gauss weight) (half-width)
+    form one row, and such a point's graded part is the row sum of F times
+    it.  The other panels keep a v per node in one ragged list.  Both run
+    in blocks of about _BLOCK_PANELS panels that split only between
+    points; a point's ragged panel sums are added in panel order by
+    np.bincount, then its shared sum.  Sums are np.sum(axis=1), not @: BLAS
+    gemv may round a row differently with the number of rows, and a
+    point's G must not depend on its neighbours.  The scalar path (g_eval)
+    sums the same series term by term, so the table's probes stay a
+    separate check of this one.
     """
     t = np.asarray(thetas, dtype=float)
     out = np.zeros_like(t)
@@ -275,43 +286,52 @@ def _g_grid(profile: Profile, thetas) -> np.ndarray:
         return out
     tt = t[live]
     vm = vmin[keep]
-    cc = (alpha * (1.0 - tt) / 2.0) ** 2
-    athe = alpha * np.abs(tt)
-    kummer = kummer_series(k / 2.0, k + 0.5, alpha * alpha / 4.0)
+    w_a = (alpha * tt) ** 2 / 4.0
+    w_b = w_a * (alpha * (1.0 - tt) / 2.0) ** 2
+    series = kummer_series(k / 2.0, k + 0.5, alpha * alpha / 4.0)
 
-    # edges of point i: vm ratio^j for j <= m, then base + offsets[j - m];
-    # with m = 0 (vm >= 1) the graded panels start at vm itself
+    def f_of_w(w):
+        # e^-w (4w)^((kappa-3)/2) P(w), the two powers in one exponential
+        return np.exp((k - 3.0) / 2.0 * np.log(4.0 * w) - w) * series(w)
+
+    def gauss(a_e, b_e):
+        # nodes of the panels [a_e, b_e], and their weights times e^-v v^-3/2
+        half = 0.5 * (b_e - a_e)
+        v = 0.5 * (b_e + a_e)[:, None] + half[:, None] * _GL_X
+        return v, np.exp(-v) / (v * np.sqrt(v)) * (half[:, None] * _GL_W)
+
+    # ragged edges of point i: vm ratio^j, j <= m, when vm < 1, else vm + offsets
     geo_max, offsets = _V_LAYOUT
     split = max(1, int(np.ceil(k / _GEO_KAPPA)))
     offsets = np.concatenate((np.linspace(offsets[0], offsets[1], split + 1), offsets[2:]))
+    n_graded = offsets.size - 1
     m = np.zeros(tt.shape, dtype=int)
     small = vm < 1.0
     m[small] = split * np.maximum(1, np.ceil(np.log(1.0 / vm[small]) / np.log(geo_max)).astype(int))
-    ratio = np.where(small, (1.0 / vm) ** (1.0 / np.maximum(m, 1)), 1.0)
-    base = np.where(small, 1.0, vm)
-    n_panels = m + offsets.size - 1
-    first = np.concatenate(([0], np.cumsum(n_panels)))
+    ratio = (1.0 / vm) ** (1.0 / np.maximum(m, 1))
+    v_shared, row = gauss(1.0 + offsets[:-1], 1.0 + offsets[1:])
+    inv_shared, row = 1.0 / v_shared.ravel(), row.ravel()
+    n_own = np.where(small, m, n_graded)
+    first = np.concatenate(([0], np.cumsum(n_own)))
 
     res = np.empty(tt.shape)
     cuts = np.unique(np.searchsorted(first, np.arange(0, first[-1], _BLOCK_PANELS)))
     for lo, hi in zip(cuts, np.append(cuts[1:], tt.size)):
-        point = np.repeat(np.arange(lo, hi), n_panels[lo:hi])
+        point = np.repeat(np.arange(lo, hi), n_own[lo:hi])
         j = np.arange(first[lo], first[hi]) - first[point]
-        mp, vp, rp, bp = m[point], vm[point], ratio[point], base[point]
+        sp, vp, rp = small[point], vm[point], ratio[point]
 
         def edge(jj):
-            return np.where(jj <= mp, vp * rp ** np.minimum(jj, mp),
-                            bp + offsets[np.maximum(jj - mp, 0)])
+            return np.where(sp, vp * rp**jj, vp + offsets[np.minimum(jj, n_graded)])
 
-        a_e = edge(j)
-        b_e = edge(j + 1)
-        half = 0.5 * (b_e - a_e)
-        mid = 0.5 * (b_e + a_e)
-        v = mid[:, None] + half[:, None] * _GL_X[None, :]
-        zeta = athe[point, None] * np.sqrt(1.0 + cc[point, None] / v)
-        fv = np.exp(-v) * v**-1.5 * (profile.c1 * zeta ** (k - 3.0) * kummer(-zeta * zeta / 4.0))
-        res[lo:hi] = np.bincount(point - lo, weights=half * (fv @ _GL_W), minlength=hi - lo)
-    out[live] = _prefactor(alpha, tt) * 0.5 * res
+        v, wts = gauss(edge(j), edge(j + 1))
+        panel = np.sum(f_of_w(w_a[point, None] + w_b[point, None] / v) * wts, axis=1)
+        res[lo:hi] = np.bincount(point - lo, weights=panel, minlength=hi - lo)
+    shared, step = np.flatnonzero(small), _BLOCK_PANELS // n_graded
+    for lo in range(0, shared.size, step):
+        s = shared[lo:lo + step]
+        res[s] += np.sum(f_of_w(w_a[s, None] + w_b[s, None] * inv_shared) * row, axis=1)
+    out[live] = _prefactor(alpha, tt) * (0.5 * profile.c1) * res
     return out
 
 
@@ -398,14 +418,19 @@ def build_kernel_table(
     def prefix(theta):
         return anti(_u_of_theta(theta))
 
-    a0 = float(anti(0.0))
-
+    probe_errors = []
+    for probe in (0.1234567, 1.0 / 3.0, 0.5555555, 0.87654321):
+        direct = k_eval(profile, probe, quad_tol)
+        probe_errors.append(abs(float(eval_fn(probe)) - direct) / max(1.0, abs(direct)))
+        if probe_errors[-1] > 10.0 * quad_tol:
+            raise QuadratureFailure(f"table interpolation error at theta={probe} above 10*quad_tol")
     table = KernelTable(
         thetas=thetas,
         g_plus=g_plus,
         g_minus=g_minus,
         k_vals=k_vals,
-        cum_prefix=np.asarray(anti(u)) - a0,
+        cum_prefix=np.asarray(anti(u)) - float(anti(0.0)),
+        probe_errors=tuple(probe_errors),
     )
     kern = Kernel(
         eval=eval_fn,
@@ -418,12 +443,6 @@ def build_kernel_table(
             f"u_star={profile.params.u_star})"
         ),
     )
-    for probe in (0.1234567, 1.0 / 3.0, 0.5555555, 0.87654321):
-        direct = k_eval(profile, probe, quad_tol)
-        if abs(float(eval_fn(probe)) - direct) > 10.0 * quad_tol * max(1.0, abs(direct)):
-            raise QuadratureFailure(
-                f"table interpolation error at theta={probe} above 10*quad_tol"
-            )
     return table, kern
 
 

@@ -31,6 +31,7 @@ from .kernel import SIGMA_MAX, Kernel
 from .specfun import pointwise
 
 MAX_SCAN_POINTS = 2**20  # omega evaluations of one next_zero scan, checked as it advances
+_Q_FLOOR = 1e-280  # q_star's scan starts here
 _TAIL_GAP = 1e-8  # below this gap 1 - theta, K and its tail integral follow k s^sigma
 _GL_X, _GL_WX = np.polynomial.legendre.leggauss(16)
 _GL_U, _GL_W = 0.5 * (_GL_X + 1.0), 0.5 * _GL_WX  # Gauss-Legendre on [0, 1]
@@ -106,9 +107,14 @@ def omega_eval(kern: Kernel, zeros, x):
 
 
 def _band_value(x, kern: Kernel, zeros) -> float:
-    """omega at a scalar x, for brentq: kern and zeros go through args=, as a
-    closure over them would keep the kernel alive until a full collection."""
-    return omega_eval(kern, zeros, x)
+    """omega at a scalar x > 0 for brentq, omega_eval's bit for bit: one
+    prefix call, then the terms in zero order as its cumsum adds them.  kern
+    and zeros come through args=; a closure would keep the kernel alive."""
+    *a, last = kern.prefix(np.array([min(z / x, 1.0) for z in zeros] + [1.0])).tolist()
+    total = 0.0
+    for i, ai in enumerate(a):
+        total += (-1.0) ** i * (x * x * (last - ai))
+    return kern.gamma_const - total
 
 
 def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
@@ -222,8 +228,8 @@ def classify_continuation(kern: Kernel, zeros, delta_probe: float) -> Continuati
 def q_star(sigma: float) -> float:
     """Unique positive root of (1+q)^(1+sigma) - q^(1+sigma) - q - 1 in (0,1).
 
-    A geometric scan brackets the root; Brent's method refines it to 4 eps
-    relative.
+    A geometric scan from _Q_FLOOR brackets the root (so sigma >= 0.00757,
+    as it falls like sigma^(1/sigma)); Brent's method refines it to 4 eps.
     """
     if not 0.0 < sigma < SIGMA_MAX:
         raise InvalidParameter(f"sigma must lie in (0, {SIGMA_MAX:.6f}), got {sigma}")
@@ -233,11 +239,12 @@ def q_star(sigma: float) -> float:
         # like sigma^(1/sigma) for small sigma and the naive form cancels
         return np.expm1((1.0 + sigma) * np.log1p(q)) - q ** (1.0 + sigma) - q
 
-    qs = np.geomspace(1e-280, 1.0, 4097)
+    qs = np.geomspace(_Q_FLOOR, 1.0, 4097)
     vals = g(qs)
     idx = np.nonzero((vals[:-1] > 0) & (vals[1:] <= 0))[0]
     if len(idx) == 0:
-        raise InvalidParameter("no bracket found; sigma outside admissible range?")
+        raise InvalidParameter(f"sigma={sigma}: q* ~ sigma^(1/sigma) lies below the scan "
+                               f"floor {_Q_FLOOR:g} (sigma below about 0.00757)")
     # xtol tiny: stop on the relative test (4 eps) alone; near sigma = 0.01
     # round-off in g forces bisection steps (up to 82 of the default 100)
     return optimize.brentq(

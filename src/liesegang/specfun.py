@@ -9,10 +9,10 @@ scipy.special.hyp1f1 elsewhere: hyp1f1 (scipy 1.17) is off by 1.6e-12
 relative at a = 0.3, b = 3.3, z = -1.7, where the series is within a few
 eps.  Both agree with exact-series and quadrature oracles to about 1e-15
 relative on the library's domain (a = kappa/2 or kappa/2 + 1,
-b = kappa + 1/2, z in [-12.5, 0]).  kummer_series evaluates M(a, b, .)
-on one fixed interval [-z_max, 0] from a power series set up once per
-interval; the derived kernel's fixed-rule quadrature uses it for its
-millions of nodes.
+b = kappa + 1/2, z in [-12.5, 0]).  kummer_series sets up the same
+transformed series once for one interval [-z_max, 0], as a polynomial
+P(w) with M(a, b, z) = e^z P(-z); the derived kernel's fixed-rule
+quadrature evaluates it by Horner at its millions of nodes.
 """
 
 from __future__ import annotations
@@ -82,10 +82,11 @@ def kummer_m(a: float, b: float, z):
 
 
 def kummer_series(a: float, b: float, z_max: float):
-    """M(a, b, z) for z in [-z_max, 0] (z_max <= 50) as an array function.
+    """P(w) = e^w M(a, b, -w) for w in [0, z_max] (z_max <= 50) as an array
+    function, so M(a, b, z) = e^z P(-z); the caller applies e^-w.
 
-    Kummer's transformation M(a, b, z) = e^z M(b - a, b, -z) turns the
-    alternating series into one in w = -z >= 0.  For 0 <= a <= b every
+    Kummer's transformation M(a, b, z) = e^z M(b - a, b, -z) makes P the
+    series of M(b - a, b, w) in w = -z >= 0.  For 0 <= a <= b every
     coefficient (b - a)_n / ((b)_n n!) is non-negative, so the Horner sum
     does not cancel.  The degree is fixed once from z_max: the last term
     kept at w = z_max is below eps/4 of the sum, and the term ratios past
@@ -103,15 +104,15 @@ def kummer_series(a: float, b: float, z_max: float):
         total += term
         n += 1
 
-    def m_eval(z):
-        w = -np.asarray(z, dtype=float)
+    def p_eval(w):
+        w = np.asarray(w, dtype=float)
         p = np.full(w.shape, coef[-1])
         for c in coef[-2::-1]:
             p *= w
             p += c
-        return np.exp(-w) * p
+        return p
 
-    return m_eval
+    return p_eval
 
 
 @pointwise

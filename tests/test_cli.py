@@ -267,6 +267,16 @@ def test_touch_is_scanned_past(monkeypatch):
     assert abs(pattern.zeros[2] - x_break) <= 1e-9 * x_break
 
 
+def test_kernel_csv_trailer_reports_probe_error(tmp_path):
+    # the table's largest off-grid probe error is deterministic, so it sits
+    # in the CSV trailer, after the rows
+    out = tmp_path / "k.csv"
+    assert dispatch(["kernel", "--table-points", "512", "--out", str(out)]) == 0
+    meta, _, _ = read_rows(out)
+    assert out.read_text().splitlines()[-1].startswith("# probe_max_err = ")
+    assert 0.0 <= float(meta["probe_max_err"]) < 10.0 * float(meta["quad_tol"])
+
+
 def test_kernel_export_roundtrip(tmp_path):
     # rings reads the export's K and cumK columns by name, and the reimport
     # finds the table's zeros
@@ -417,7 +427,17 @@ NUMERIC_FLAGS = [
 ] + [
     (["pde", "--model", model], flag) for model in ("simplified", "full")
     for flag in ("--ds", "--smax")
-] + [(["profile"], "--eta-max"), (["compare"], "--ds"), (["compare"], "--smax")]
+] + [(["profile"], "--eta-max"), (["compare"], "--ds"), (["compare"], "--smax")] + [
+    (["kernel", "--table-points", "256"], flag) for flag in ("--alpha", "--beta", "--ustar")
+] + [
+    (["rings"], flag) for flag in ("--sigma", "--scale", "--min-width", "--horizon")
+] + [
+    (["degenerate"], "--sigma"),
+    # fill_head overflows at --scale 1e300 and fails verification by name
+    # (test_degenerate_overflowing_scale_fails_verification)
+    pytest.param(["degenerate"], "--scale",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+]
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-300", "1e300"])

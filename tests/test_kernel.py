@@ -272,16 +272,16 @@ def test_grid_work_is_pinned(monkeypatch, profile02):
 def test_probe_work_is_pinned(monkeypatch, request, which, cap):
     # the table's four k_eval probes are 8 g_eval integrals, each one
     # QUADPACK call in log v: about 80 integrand calls at kappa 1.77 and
-    # 120 at kappa 46
+    # 120 at kappa 46, each summing Kummer's series once
     prof = request.getfixturevalue(which)
     calls = []
-    psi = kn._psi_over_zeta3
+    series = kn._kummer_transformed
 
-    def counting_psi(profile, zeta):
+    def counting_series(a, b, z):
         calls.append(1)
-        return psi(profile, zeta)
+        return series(a, b, z)
 
-    monkeypatch.setattr(kn, "_psi_over_zeta3", counting_psi)
+    monkeypatch.setattr(kn, "_kummer_transformed", counting_series)
     kn.build_kernel_table(prof, 256)
     assert 0 < len(calls) <= cap
 
@@ -293,6 +293,14 @@ def test_g_eval_meets_every_tolerance(profile02, profile_large_kappa, quad_tol):
     for prof in (profile02, profile_large_kappa):
         for th in (1.0 - 1e-12, 1.0 - 1e-7, 1e-6, -1e-6, -0.99):
             assert kn.g_eval(prof, th, quad_tol) > 0.0
+
+
+@pytest.mark.parametrize("theta", [1e-160, -1e-200, 5e-324])
+def test_g_eval_refuses_an_underflowing_v_min(profile02, theta):
+    # below |theta| ~ 1e-154 v_min is subnormal or 0: zeta would round past
+    # alpha, outside the domain checked once per call
+    with pytest.raises(InvalidParameter, match="underflows"):
+        kn.g_eval(profile02, theta)
 
 
 @pytest.mark.parametrize("which", ["profile02", "profile_large_kappa"])
@@ -389,7 +397,7 @@ def test_gamma_work_is_pinned(monkeypatch, profile02):
 
         return counted
 
-    for name in ("_g_grid", "g_eval", "kummer_m", "kummer_series"):
+    for name in ("_g_grid", "g_eval", "_kummer_transformed", "kummer_series"):
         monkeypatch.setattr(kn, name, counting(name))
     assert kn.gamma_const(profile02) > 0.0
     assert calls == []

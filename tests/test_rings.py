@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liesegang import rings
 from liesegang.errors import InvalidParameter
-from liesegang.kernel import SIGMA_MAX, synthetic_kernel
+from liesegang.kernel import SIGMA_MAX, kernel_from_samples, synthetic_kernel
 
 X1_EXACT = np.sqrt(70.0) / 4.0  # root of 2/3 = x^2 * 16/105
 Q_STAR_HALF = 0.41964337760736525  # frozen, |G(q*)| <= 1e-13
@@ -94,17 +94,55 @@ def test_next_zero_scan_is_capped(synthetic):
 def test_zero_refinement_work(synthetic, monkeypatch):
     # Brent's method needs about 14 scalar omega evaluations per zero, scan
     # and continuation probes included; a bisection to root_tol needs 46
+    # (brentq calls _band_value; the scan and the anchor call omega_eval)
     scalar_calls = []
-    original = rings.omega_eval
+    original, band = rings.omega_eval, rings._band_value
 
     def counted(kern, zeros, x):
         if np.ndim(x) == 0:
             scalar_calls.append(x)
         return original(kern, zeros, x)
 
+    def counted_band(x, kern, zeros):
+        scalar_calls.append(x)
+        return band(x, kern, zeros)
+
     monkeypatch.setattr(rings, "omega_eval", counted)
+    monkeypatch.setattr(rings, "_band_value", counted_band)
     pattern = rings.solve_pattern(synthetic)
     assert len(scalar_calls) <= 20 * (len(pattern.zeros) - 1)
+
+
+@pytest.fixture(scope="module")
+def file_kernel(model_kernel02):
+    table, kern = model_kernel02
+    return kernel_from_samples(table.thetas, table.k_vals, table.cum_prefix, kern.sigma,
+                               kern.k_coeff, kern.gamma_const)
+
+
+@pytest.mark.parametrize("which", ["synthetic", "derived", "file"])
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 40), where=st.sampled_from(["band", "zero", "past"]),
+       frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_band_value_is_omega_eval_bitwise(request, synthetic_pattern, model_pattern,
+                                          which, n, where, frac):
+    # brentq's scalar omega sums the same terms in the same order as omega_eval
+    kern, zeros = {
+        "synthetic": (request.getfixturevalue("synthetic"), synthetic_pattern.zeros),
+        "derived": (request.getfixturevalue("model_kernel02")[1], model_pattern.zeros),
+        "file": (request.getfixturevalue("file_kernel"), model_pattern.zeros),
+    }[which]
+    n = min(n, len(zeros) - 2)
+    prefix = list(zeros[:n + 1])
+    if where == "band":  # strictly inside the open band (z_n, z_n+1)
+        x = zeros[n] + frac * (zeros[n + 1] - zeros[n])
+        assume(zeros[n] < x < zeros[n + 1])
+    elif where == "zero":
+        x = zeros[1 + min(int(frac * (n + 1)), n)]
+    else:  # past the last zero of the whole pattern
+        prefix = list(zeros)
+        x = zeros[-1] * (1.0 + frac)
+    assert rings._band_value(x, kern, prefix) == rings.omega_eval(kern, prefix, x)
 
 
 def test_next_zero_bracket_signs(synthetic):
@@ -296,6 +334,14 @@ def test_q_star_brackets_the_root_to_1e9_relative(sigma):
 def test_q_star_rejects_bad_sigma():
     with pytest.raises(InvalidParameter):
         rings.q_star(0.6)
+
+
+@pytest.mark.parametrize("sigma", [0.0075, 0.005, 1e-300])
+def test_q_star_below_its_scan_floor_names_sigma(sigma):
+    # admissible, but q* ~ sigma^(1/sigma) lies below the 1e-280 floor
+    with pytest.raises(InvalidParameter, match=rf"sigma={sigma}: .*scan floor 1e-280"):
+        rings.q_star(sigma)
+    assert 0.0 < rings.q_star(0.0076) < 1e-270
 
 
 def test_extrapolate_geometric_exact():

@@ -173,8 +173,8 @@ def test_vectorized_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# kummer_series: the derived kernel's M(kappa/2, kappa + 1/2, -zeta^2/4),
-# zeta <= alpha, so |z| <= alpha^2/4 (49 at alpha = 14)
+# kummer_series: the series P(w) = e^w M(a, b, -w) behind the derived kernel's
+# M(kappa/2, kappa + 1/2, -zeta^2/4), zeta <= alpha, so |z| <= alpha^2/4 (49 at alpha = 14)
 
 SERIES_KAPPAS = (1.0001, 1.77, 4.3, 20.0, 50.0)
 SERIES_ALPHAS = (0.8, 1.3, 3.0, 7.0, 10.0, 14.0)
@@ -187,7 +187,7 @@ def test_kummer_series_matches_hyp1f1_and_exact_series(kappa):
         z_max = alpha * alpha / 4.0
         series = kummer_series(a, b, z_max)
         z = -np.linspace(0.0, z_max, 33)
-        got = series(z)
+        got = np.exp(z) * series(-z)
         # hyp1f1 itself drifts to ~1e-14 past alpha = 7 (against 40-digit
         # mpmath), so it is the oracle there only up to alpha = 7
         if alpha <= 7.0:
@@ -201,8 +201,8 @@ def test_kummer_series_matches_hyp1f1_and_exact_series(kappa):
 def test_kummer_series_identities():
     for a in (0.5, 2.15, 25.0):
         series = kummer_series(a, a, 40.0)
-        z = -np.linspace(0.0, 40.0, 101)
-        assert np.array_equal(series(z), np.exp(z))  # M(a, a, z) = e^z
+        w = np.linspace(0.0, 40.0, 101)
+        assert np.array_equal(series(w), np.ones_like(w))  # M(a, a, z) = e^z
         assert kummer_series(a, 2.0 * a + 0.5, 12.5)(0.0) == 1.0
 
 
