@@ -3,8 +3,9 @@
 Subcommands: profile, kernel, rings, degenerate, extended, pde, compare.
 Every command writes a CSV with a '#'-prefixed metadata header (full
 parameter echo) followed by plain numeric rows, so identical invocations
-produce byte-identical files.  Exit codes: 0 success, 2 invalid input,
-3 numerical failure, 4 I/O failure.
+produce byte-identical files.  --out - (the default) writes the CSV to
+stdout; the one-line status of each command goes to stderr.  Exit codes:
+0 success, 2 invalid input, 3 numerical failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def cmd_profile(args) -> None:
     }
     emit_csv(args.out, meta, ["eta", "phi", "psi"], zip(eta, phi, psi),
              trailer={"kappa_evals": profile.kappa_evals})
-    print(f"profile: kappa={profile.kappa:.12g} gamma={profile.gamma:.12g}")
+    print(f"profile: kappa={profile.kappa:.12g} gamma={profile.gamma:.12g}", file=sys.stderr)
 
 
 def cmd_kernel(args) -> None:
@@ -183,7 +184,7 @@ def cmd_kernel(args) -> None:
     rows = zip(table.thetas, table.g_plus, table.g_minus, table.k_vals, table.cum_prefix)
     emit_csv(args.out, meta, ["theta", "G_plus", "G_minus", "K", "cumK"], rows,
              trailer={"probe_max_err": max(table.probe_errors)})
-    print(f"kernel: Gamma={kern.gamma_const:.10g} k={kern.k_coeff:.10g}")
+    print(f"kernel: Gamma={kern.gamma_const:.10g} k={kern.k_coeff:.10g}", file=sys.stderr)
 
 
 def cmd_rings(args) -> None:
@@ -202,7 +203,7 @@ def cmd_rings(args) -> None:
     emit_csv(args.out, meta, ["n", "x_n", "d_n", "q_n"], rows, trailer=trailer)
     print(
         f"rings: {len(z) - 1} zeros, {pattern.classification.value}, "
-        f"x*={pattern.x_star:.10g}"
+        f"x*={pattern.x_star:.10g}", file=sys.stderr,
     )
 
 
@@ -233,7 +234,7 @@ def cmd_degenerate(args) -> None:
              trailer=trailer)
     print(
         f"degenerate: breakdown at x2+eps={cons.x2 + cons.epsilon:.10g}, "
-        f"verified={verified}"
+        f"verified={verified}", file=sys.stderr,
     )
 
 
@@ -257,7 +258,7 @@ def cmd_extended(args) -> None:
         columns = list(zip(*sol.newton_trace))[1:]
         trailer = {name: ",".join(map(_fmt, col)) for name, col in zip(names, columns)}
         emit_csv(args.out, meta, ["x", "omega", "rho", "residual_local"], rows, trailer=trailer)
-        print(f"extended: residual={sol.residual:.4g}")
+        print(f"extended: residual={sol.residual:.4g}", file=sys.stderr)
     else:
         pattern = rings.solve_pattern(kern)
         reg = ext.regular_extension_solve(kern, pattern, args.b, args.h)
@@ -268,7 +269,7 @@ def cmd_extended(args) -> None:
         }
         rows = zip(reg.grid, np.zeros_like(reg.grid), reg.rho, reg.residual_local)
         emit_csv(args.out, meta, ["x", "omega", "rho", "residual_local"], rows)
-        print(f"extended (regular): residual={reg.residual:.4g}")
+        print(f"extended (regular): residual={reg.residual:.4g}", file=sys.stderr)
 
 
 def cmd_pde(args) -> None:
@@ -288,7 +289,7 @@ def cmd_pde(args) -> None:
         for s_val, w, p in result.snapshots:
             snap_rows.extend(zip([s_val] * len(eta), eta, w, p))
         emit_csv(args.snapshots_out, meta, ["s", "eta", "w", "p"], snap_rows)
-    print(f"pde: {len(result.s)} steps, final sup_w={result.sup_w[-1]:.6g}")
+    print(f"pde: {len(result.s)} steps, final sup_w={result.sup_w[-1]:.6g}", file=sys.stderr)
 
 
 def cmd_compare(args) -> None:
@@ -315,7 +316,7 @@ def cmd_compare(args) -> None:
     emit_csv(args.out, meta, ["s", "x", "w_trace", "omega", "abs_diff"], rows)
     print(
         f"compare: sup diff={report.sup_trace_diff:.4g}, "
-        f"first onset offset={report.first_onset_cells:.2f} cells"
+        f"first onset offset={report.first_onset_cells:.2f} cells", file=sys.stderr,
     )
 
 

@@ -27,16 +27,7 @@ from scipy import integrate, optimize
 from scipy.interpolate import CubicHermiteSpline
 
 from . import rings
-from .errors import (
-    BridgeInfeasible,
-    EpsilonNotFound,
-    InvalidParameter,
-    LambdaOutOfRange,
-    PositivityViolation,
-    TailPowerNotFound,
-    TangentialTemplate,
-    VerificationFailed,
-)
+from .errors import BridgeInfeasible, InvalidParameter, TangentialTemplate, VerificationFailed
 from .kernel import Kernel, synthetic_kernel
 from .specfun import pointwise
 
@@ -157,13 +148,13 @@ def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> 
     slopes = phi(t_nodes)
     slopes[0] = s0
     slopes[-1] = 0.0
+    # phi > 0 on [0, 1), so the values increase: each quarter adds at least
+    # 2 eps s0/192.  Fritsch-Carlson needs every slope at most 3 times its
+    # neighbouring secants; the ends already meet it, as 3 deltas[0] =
+    # 12 ramp(1/4) >= 2.31 s0 and slopes[-1] = 0
     deltas = np.diff(values) / np.diff(x_nodes)
-    if np.any(deltas <= 0):
-        raise BridgeInfeasible("bridge node values are not increasing")
     for i in range(1, 4):
         slopes[i] = min(slopes[i], 3.0 * min(deltas[i - 1], deltas[i]))
-    if slopes[0] > 3.0 * deltas[0] or slopes[-1] > 3.0 * deltas[-1]:
-        raise BridgeInfeasible("end slopes violate the monotonicity criterion")
     middle = CubicHermiteSpline(x_nodes, values, slopes)
     middle_slope = middle.derivative()
 
@@ -223,7 +214,7 @@ def kernel_from_bridge(bridge: GapBridge) -> PartialKernel:
 
     vals = k_eps(np.linspace(r, 1.0, 1001)[:-1])
     if np.any(vals <= 0):
-        raise PositivityViolation("K_eps non-positive on its domain")
+        raise BridgeInfeasible("K_eps non-positive on its domain")
 
     int_k = anti(1.0) - anti(r)
     breaks = sorted(
@@ -255,14 +246,14 @@ def choose_epsilon(template: Kernel, x1: float, x2: float) -> PartialKernel:
         try:
             bridge = build_gap_bridge(template, x1, x2, eps)
             partial = kernel_from_bridge(bridge)
-        except (BridgeInfeasible, PositivityViolation):
+        except BridgeInfeasible:
             continue
         r = partial.r
         num = total_k - partial.int_k
         den = gamma - partial.int_g
         if num > 0 and den > 0 and num / den < 0.9 * r * r:
             return partial
-    raise EpsilonNotFound("no admissible epsilon within 40 halvings")
+    raise BridgeInfeasible("no admissible epsilon within 40 halvings")
 
 
 @dataclass(frozen=True)
@@ -311,7 +302,7 @@ def fill_head(partial: PartialKernel) -> DegenerateConstruction:
             k_star = num
             break
     if n_power is None:
-        raise TailPowerNotFound("no tail power n <= 200 satisfies the ratio bound")
+        raise BridgeInfeasible("no tail power n <= 200 satisfies the ratio bound")
     r_star = float(np.sqrt(r_star2))
 
     # each bump (theta - lo)^4 (hi - theta)^4 is one polynomial; its moments,
@@ -329,7 +320,7 @@ def fill_head(partial: PartialKernel) -> DegenerateConstruction:
     i0_b1, i0_b2 = (b.integ()(hi) - b.integ()(lo) for b, (lo, hi) in zip(bumps, supports))
     i2_b1, i2_b2 = bump_masses(r)
     if not (i2_b1 / i0_b1 < r_star2 < i2_b2 / i0_b2):
-        raise LambdaOutOfRange("bump second moments do not bracket r*^2")
+        raise BridgeInfeasible("bump second moments do not bracket r*^2")
     # B1(lambda)/B2(lambda) = r*^2 is linear in lambda; the complement
     # mu = 1 - lambda is carried explicitly because lambda* can sit within
     # round-off of 1 when the bump masses are lopsided
@@ -338,7 +329,7 @@ def fill_head(partial: PartialKernel) -> DegenerateConstruction:
     lambda_star = a2 / (a2 - a1)
     mu_star = -a1 / (a2 - a1)
     if not (lambda_star > 0.0 and mu_star > 0.0):
-        raise LambdaOutOfRange(f"lambda* = {lambda_star} outside (0, 1)")
+        raise BridgeInfeasible(f"lambda* = {lambda_star} outside (0, 1)")
     b_norm = lambda_star * i2_b1 + mu_star * i2_b2
 
     def head(t):

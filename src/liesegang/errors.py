@@ -28,23 +28,9 @@ class TangentialTemplate(LiesegangError):
 
 
 class BridgeInfeasible(LiesegangError):
-    """The monotone gap bridge cannot meet its constraints at this epsilon."""
-
-
-class PositivityViolation(LiesegangError):
-    """A constructed kernel piece failed its positivity check."""
-
-
-class EpsilonNotFound(LiesegangError):
-    """No admissible gap shift found within the scan budget."""
-
-
-class TailPowerNotFound(LiesegangError):
-    """No admissible head tail power found within the search budget."""
-
-
-class LambdaOutOfRange(LiesegangError):
-    """Spline mixing weight fell outside (0, 1)."""
+    """The degenerate construction cannot meet one of its constraints: the
+    gap bridge or K_eps at one epsilon, the epsilon scan, the head's tail
+    power or its spline weight.  The message names which."""
 
 
 class VerificationFailed(LiesegangError):

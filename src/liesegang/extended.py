@@ -431,11 +431,10 @@ def regular_extension_solve(
     # discontinuities (ring boundaries, then panel edges), so integrate
     # K(theta) piece by piece with Gauss rules on the exact partition; the
     # rings' composite nodes are laid out once in y-space (sub-panels of at
-    # most 0.04 x*), the panels' through _gauss_table
+    # most 0.04 x*), the panels' through _gauss_table; precipitated() gives
+    # each ring with hi > lo
     integral = np.zeros(n)
     for lo, hi in history:
-        if hi <= lo:
-            continue
         sub = np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / (0.04 * x_star)))) + 1)
         half = 0.5 * (sub[1:] - sub[:-1])
         mid = 0.5 * (sub[1:] + sub[:-1])

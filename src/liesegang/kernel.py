@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import integrate
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
@@ -70,6 +71,7 @@ _BLOCK_PANELS = 512  # _g_grid evaluates about this many panels (8192 nodes) at 
 QUAD_TOL_MIN = 50.0 * float(np.finfo(float).eps)  # QUADPACK's floor on epsrel
 MAX_TABLE_POINTS = 1 << 16  # cap on table/export sizes, checked before allocating
 TABLE_QUAD_TOL = 1e-9  # build_kernel_table's default probe tolerance, the CLI's only one
+_SERIES_THETA, _SERIES_TERMS = 1e-2, 10  # synthetic_kernel's power series near theta = 0
 
 
 def _quad(f, a, b, quad_tol, **kw):
@@ -135,6 +137,10 @@ def synthetic_kernel(sigma: float, scale: float) -> Kernel:
         raise InvalidParameter(f"sigma must lie in (0, {SIGMA_MAX:.6f}), got {sigma}")
     require_positive(scale=scale)
 
+    # the series coefficients scale (-1)^n binom(sigma, n) / (n + 3), n < _SERIES_TERMS
+    n = np.arange(1.0, _SERIES_TERMS)
+    coef = scale * np.cumprod(np.append(1.0, (n - 1.0 - sigma) / n)) / np.append(3.0, n + 3.0)
+
     @pointwise
     def prefix(theta):
         # scale * int theta^2 (1-theta)^sigma with theta^2 = 1 - 2(1-t) + (1-t)^2;
@@ -142,7 +148,17 @@ def synthetic_kernel(sigma: float, scale: float) -> Kernel:
         one = 1.0 - theta
         p1 = one ** (sigma + 1.0)
         p2 = p1 * one
-        return scale * (-p1 / (sigma + 1.0) + 2.0 * p2 / (sigma + 2.0) - p2 * one / (sigma + 3.0))
+        out = scale * (-p1 / (sigma + 1.0) + 2.0 * p2 / (sigma + 2.0) - p2 * one / (sigma + 3.0))
+        # on (0, _SERIES_THETA) those O(1) terms cancel to round-off, so there
+        # prefix is prefix(0) plus sum_n coef_n theta^(n+3), whose terms past
+        # _SERIES_TERMS add below 1e-20 of the sum: cum(0, theta) stays >= 0
+        # and does not fall
+        small = (0.0 < theta) & (theta < _SERIES_THETA)
+        if small.any():
+            out[small] = head + theta[small] ** 3 * polyval(theta[small], coef)
+        return out
+
+    head = prefix(0.0)  # the closed form at 0
 
     def k_eval(theta):
         t = np.asarray(theta, dtype=float)

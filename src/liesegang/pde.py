@@ -120,17 +120,16 @@ def init(config: PdeConfig) -> PdeState:
     )
 
 
-def assemble_system(state: PdeState, config: PdeConfig, *, p_override=None,
-                    source_on: bool = True):
-    """Tridiagonal matrix and right side for the step to index j+1."""
+def assemble_system(state: PdeState, config: PdeConfig):
+    """Tridiagonal matrix and right side for the step to index j+1, from
+    state.w, state.p and the source state.src."""
     j = state.j + 1
     diag = j + np.arange(config.n_full) + 4.0 / config.d_eta**2
     s_j = j * config.ds
-    p_used = state.p if p_override is None else np.asarray(p_override, dtype=float)
     density = state.phi_grid + state.w if config.model == FULL else state.phi_grid
-    b = (state.src if source_on else 0.0) + j * state.w
+    b = state.src + j * state.w
     # row 0 is overwritten below, so its sink (inf * 0 for a p singular at eta = 0) is skipped
-    b[1:] -= 2.0 * s_j**2 * p_used[1:] * density[1:]
+    b[1:] -= 2.0 * s_j**2 * state.p[1:] * density[1:]
     b[0] = b[1]
     return diag, state.lower, state.upper, b
 
@@ -192,18 +191,13 @@ def transport_p(state: PdeState, config: PdeConfig) -> np.ndarray:
     return p
 
 
-def step(state: PdeState, config: PdeConfig, *, p_override=None,
-         source_on: bool = True) -> PdeState:
+def step(state: PdeState, config: PdeConfig) -> PdeState:
     """Advance one time step: implicit solve, then precipitation transport."""
     if state.j >= config.n_steps:
         raise InvalidParameter(f"step {state.j + 1} is past n_steps = {config.n_steps}")
-    diag, lower, upper, b = assemble_system(
-        state, config, p_override=p_override, source_on=source_on
-    )
-    state.w = _solve_tridiagonal(diag, lower, upper, b)
+    state.w = _solve_tridiagonal(*assemble_system(state, config))
     state.j += 1
-    if p_override is None:
-        transport_p(state, config)
+    transport_p(state, config)
     return state
 
 

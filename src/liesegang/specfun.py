@@ -4,12 +4,12 @@
 argument: a float for a scalar, an array of the same shape for an array.
 kummer_m and erfc keep the library's domain checks.  erfc wraps
 scipy.special.erfc.  kummer_m sums Kummer's transformed, non-negative
-series point by point for z <= 0 and 0 <= a <= b, and wraps
-scipy.special.hyp1f1 elsewhere: hyp1f1 (scipy 1.17) is off by 1.6e-12
-relative at a = 0.3, b = 3.3, z = -1.7, where the series is within a few
-eps.  Both agree with exact-series and quadrature oracles to about 1e-15
-relative on the library's domain (a = kappa/2 or kappa/2 + 1,
-b = kappa + 1/2, z in [-12.5, 0]).  kummer_series sets up the same
+series point by point, and is defined only where that series is: z <= 0
+and 0 <= a <= b, which covers every call the profile makes (a = kappa/2
+or kappa/2 + 1, b = kappa + 1/2, kappa > 1, z = -eta^2/4 <= 0).  There it
+agrees with exact-series and quadrature oracles to about 1e-15 relative;
+scipy.special.hyp1f1 (scipy 1.17) is off by 1.6e-12 relative at a = 0.3,
+b = 3.3, z = -1.7.  kummer_series sets up the same
 transformed series once for one interval [-z_max, 0], as a polynomial
 P(w) with M(a, b, z) = e^z P(-z); the derived kernel's fixed-rule
 quadrature evaluates it by Horner at its millions of nodes.
@@ -71,14 +71,12 @@ def _kummer_transformed(a: float, b: float, z: float) -> float:
 
 @pointwise
 def kummer_m(a: float, b: float, z):
-    """Kummer's confluent hypergeometric function M(a, b, z), |z| <= 50."""
+    """Kummer's confluent hypergeometric function M(a, b, z) for
+    0 <= a <= b and -50 <= z <= 0."""
     _check_b_and_z(b, z)
-    if not 0.0 <= a <= b:
-        return special.hyp1f1(a, b, z)
-    return np.array([
-        _kummer_transformed(a, b, x) if x <= 0.0 else float(special.hyp1f1(a, b, x))
-        for x in z.tolist()
-    ])
+    if not (0.0 <= a <= b and (z <= 0.0).all()):
+        raise InvalidParameter(f"kummer_m needs 0 <= a <= b and z <= 0, got a={a}, b={b}")
+    return np.array([_kummer_transformed(a, b, x) for x in z.tolist()])
 
 
 def kummer_series(a: float, b: float, z_max: float):

@@ -1,13 +1,16 @@
 import errno
+import math
 import os
+import runpy
 import stat
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from liesegang import degenerate as dg
-from liesegang import rings
+from liesegang import pde, rings
 from liesegang.cli import dispatch, load_kernel_file
 from liesegang.kernel import MAX_TABLE_POINTS, kernel_from_samples, synthetic_kernel
 from liesegang.profile import ModelParams, solve_kappa
@@ -437,6 +440,16 @@ NUMERIC_FLAGS = [
     # (test_degenerate_overflowing_scale_fails_verification)
     pytest.param(["degenerate"], "--scale",
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+] + [
+    (argv, flag)
+    for argv in (["profile"], ["rings", "--kernel", "model", "--table-points", "256"],
+                 ["extended", "--kernel", "model", "--table-points", "256"],
+                 ["pde", "--N", "32", "--ds", "1e-2", "--smax", "1"],
+                 ["compare", "--N", "32", "--ds", "1e-2", "--smax", "1", "--table-points", "256"])
+    for flag in ("--alpha", "--beta", "--ustar")
+] + [
+    (["extended", "--mode", mode], flag) for mode in ("mollified", "regular")
+    for flag in ("--sigma", "--scale")
 ]
 
 
@@ -450,6 +463,82 @@ def test_numeric_flag_never_raises(tmp_path, capsys, argv, flag, value):
     rc = dispatch(argv + [f"{flag}={value}", "--out", str(tmp_path / "o.csv")])
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# each size flag at 0, -1, 1 and one past its cap; --max-zeros has no cap
+# (a solve stops on its width floor first), so it gets a huge count instead
+INTEGER_FLAGS = [
+    (argv, "--table-points", MAX_TABLE_POINTS)
+    for argv in (["kernel"], ["rings", "--kernel", "model"], ["extended", "--kernel", "model"],
+                 ["compare", "--N", "32", "--ds", "1e-2", "--smax", "1"], ["degenerate"])
+] + [
+    (["profile"], "--n", MAX_TABLE_POINTS),
+    (["rings"], "--max-zeros", 10**18 - 1),
+    (["pde", "--ds", "1e-2", "--smax", "1"], "--N", pde.MAX_N),
+    (["compare", "--ds", "1e-2", "--smax", "1", "--table-points", "256"], "--N", pde.MAX_N),
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1", "cap+1"])
+@pytest.mark.parametrize(
+    "argv, flag, cap", INTEGER_FLAGS,
+    ids=lambda v: "_".join(v) if isinstance(v, list) else str(v),
+)
+def test_integer_flag_never_raises(tmp_path, capsys, argv, flag, cap, value):
+    # a size past its cap is refused before anything is allocated
+    value = str(cap + 1) if value == "cap+1" else value
+    rc = dispatch(argv + [f"{flag}={value}", "--out", str(tmp_path / "o.csv")])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    if value == str(cap + 1) and flag != "--max-zeros":
+        assert rc == 2
+
+
+def test_default_stdout_csv_reads_back(tmp_path, capsys):
+    # with --out - (the default) stdout carries the CSV alone and the status
+    # line goes to stderr, so a kernel export piped to a file reimports
+    assert dispatch(["kernel", "--table-points", "256"]) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith("kernel: Gamma=")
+    assert out.splitlines()[-1].startswith("# probe_max_err = ")
+    path = tmp_path / "k.csv"
+    path.write_text(out)
+    assert dispatch(["rings", "--kernel", f"file:{path}", "--out", str(tmp_path / "r.csv")]) == 0
+
+
+@pytest.mark.parametrize("smax, toggles", [("6", True), ("1", False)])
+def test_compare_csv(tmp_path, smax, toggles):
+    # to s = 6 the source cell toggles and the first onset offset is finite;
+    # to s = 1 it does not, and the offsets read inf
+    out = tmp_path / "c.csv"
+    rc = dispatch(["compare", "--N", "32", "--ds", "1e-2", "--smax", smax,
+                   "--table-points", "256", "--out", str(out)])
+    assert rc == 0
+    meta, header, rows = read_rows(out)
+    assert header == ["s", "x", "w_trace", "omega", "abs_diff"]
+    assert len(rows) == round(float(smax) / 1e-2)
+    assert float(meta["sup_trace_diff"]) == max(float(row[4]) for row in rows)
+    assert bool(meta["pde_toggles"]) is toggles
+    for key in ("first_onset_cells", "first_onset_similarity_cells"):
+        assert math.isfinite(float(meta[key])) is toggles
+
+
+def test_unknown_kernel_selector_exits_two(tmp_path, capsys):
+    err = assert_input_error(
+        ["rings", "--kernel", "tabulated", "--out", str(tmp_path / "r.csv")], capsys
+    )
+    assert "unknown kernel selector 'tabulated'" in err
+
+
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+def test_module_entry_point(tmp_path, monkeypatch):
+    # python -m liesegang.cli: main() exits with dispatch's code
+    out = tmp_path / "r.csv"
+    monkeypatch.setattr(sys, "argv", ["liesegang", "rings", "--max-zeros", "3", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("liesegang.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert read_rows(out)[1] == ["n", "x_n", "d_n", "q_n"]
 
 
 def write_kernel_file(path, thetas, k_vals, cums):
@@ -534,3 +623,29 @@ def test_kernel_file_bad_columns_exit_two(tmp_path, capsys, recwarn, columns, si
     )
     assert name in err
     assert len(recwarn) == 0
+
+
+def test_kernel_file_blank_lines_are_skipped(tmp_path):
+    thetas = np.linspace(0.0, 1.0, 200)
+    kern = synthetic_kernel(0.5, 1.0)
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    write_kernel_file(plain, thetas, kern.eval(thetas), kern.cum(0.0, thetas))
+    lines = plain.read_text().splitlines()
+    blank.write_text("\n".join(lines[:10] + ["", "   "] + lines[10:]) + "\n")
+    probe = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(load_kernel_file(str(blank)).eval(probe),
+                          load_kernel_file(str(plain)).eval(probe))
+
+
+@pytest.mark.parametrize("key", ["sigma", "k_coeff", "gamma"])
+def test_kernel_file_missing_header_key_exits_two(tmp_path, capsys, key):
+    thetas = np.linspace(0.0, 1.0, 200)
+    kern = synthetic_kernel(0.5, 1.0)
+    path = tmp_path / "k.csv"
+    write_kernel_file(path, thetas, kern.eval(thetas), kern.cum(0.0, thetas))
+    path.write_text("\n".join(line for line in path.read_text().splitlines()
+                              if not line.startswith(f"# {key} =")) + "\n")
+    err = assert_input_error(
+        ["rings", "--kernel", f"file:{path}", "--out", str(tmp_path / "r.csv")], capsys
+    )
+    assert f"lacks required header key '{key}'" in err

@@ -1,11 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from liesegang import degenerate as dg
 from liesegang import rings
-from liesegang.errors import BridgeInfeasible, InvalidParameter, TangentialTemplate
-from liesegang.kernel import synthetic_kernel
+from liesegang.errors import (
+    BridgeInfeasible,
+    InvalidParameter,
+    TangentialTemplate,
+    VerificationFailed,
+)
+from liesegang.kernel import Kernel, synthetic_kernel
+from liesegang.specfun import pointwise
 
 X1_EXACT = np.sqrt(70.0) / 4.0
 
@@ -312,3 +320,152 @@ def test_both_hypotheses_inconsistent(construction):
             construction.result, [0.0, construction.x1, x_break], delta
         )
         assert verdict.degenerate
+
+
+# ---------------------------------------------------------------------------
+# refusals: each constraint of the construction and each certificate check,
+# reached with a real input or a tampered construction
+
+
+def test_template_without_second_zero_is_refused():
+    # K = sqrt(theta): past x1, omega* = Gamma - x^2 int_0^(x1/x) K falls like
+    # -sqrt(x) and never returns to zero, so the bracket search gives up
+    @pointwise
+    def prefix(theta):
+        return theta**1.5 / 1.5
+
+    kern = Kernel(eval=np.sqrt, prefix=prefix, gamma_const=1.0, sigma=0.5, k_coeff=1.0)
+    with pytest.raises(InvalidParameter, match="no second zero"):
+        dg.template_zeros(kern)
+
+
+def test_bridge_refusals(template, zeros12):
+    x1, x2 = zeros12
+    eps = 1e-3
+    # past the true second zero omega*(x2 - eps) is already positive
+    with pytest.raises(BridgeInfeasible, match="left bridge value is not negative"):
+        dg.build_gap_bridge(template, x1, 1.5 * x2, eps)
+    # half an eps past it, |omega*(x2 - eps)| < (2/3) eps omega*': no room for the ramp
+    with pytest.raises(BridgeInfeasible, match="slope budget is negative"):
+        dg.build_gap_bridge(template, x1, x2 + eps / 2.0, eps)
+    # a template whose int_a^1 K is negative for a > 0 makes the right branch fall
+    falling = dataclasses.replace(
+        template, cum=lambda a, b: np.where(np.asarray(a) == 0.0, 1.0, -1.0) * template.cum(a, b)
+    )
+    with pytest.raises(BridgeInfeasible, match="not increasing on the modified interval"):
+        dg.build_gap_bridge(falling, x1, x2, eps)
+    # the right branch does not depend on Gamma, so a small one is overtaken
+    low = dataclasses.replace(template, gamma_const=1e-5)
+    with pytest.raises(BridgeInfeasible, match="exceeds Gamma"):
+        dg.build_gap_bridge(low, x1, x2, eps)
+
+
+def test_non_positive_k_eps_is_refused(template, bridge):
+    # K_eps = omega'/x1 - 2 theta (omega - Gamma)/x1^2 turns negative when
+    # Gamma lies far below the bridge
+    tampered = dataclasses.replace(
+        bridge, template=dataclasses.replace(template, gamma_const=-10.0)
+    )
+    with pytest.raises(BridgeInfeasible, match="K_eps non-positive"):
+        dg.kernel_from_bridge(tampered)
+
+
+def test_epsilon_scan_without_admissible_epsilon(template, zeros12):
+    # with x2 past the true zero every eps is refused, and the scan says so
+    x1, x2 = zeros12
+    with pytest.raises(BridgeInfeasible, match="no admissible epsilon within 40 halvings"):
+        dg.choose_epsilon(template, x1, 1.5 * x2)
+
+
+def test_fill_head_without_tail_power(template, partial):
+    # int_r^1 K_eps = int K* leaves no head mass for any n
+    with pytest.raises(BridgeInfeasible, match="no tail power"):
+        dg.fill_head(dataclasses.replace(partial, int_k=template.cum(0.0, 1.0)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fill_head_refuses_r_star_next_to_r(template, partial):
+    # masses that put r* within 1e-9 to 1e-3 (relative) of r shrink the
+    # second bump's support [r*, r] until its power-basis moments are
+    # round-off: mostly they fail to bracket r*^2, sometimes the bracket holds
+    # on moments of the wrong sign and the weight lambda* leaves (0, 1)
+    r, g_r = partial.r, partial.g_at_r
+    den = template.gamma_const - partial.int_g - g_r * r / 2.0
+    outcomes = set()
+    for d in np.geomspace(1e-9, 1e-3, 200):
+        int_k = template.cum(0.0, 1.0) - (r * r * (1.0 - d) * den + g_r * r**3 / 4.0)
+        try:
+            dg.fill_head(dataclasses.replace(partial, int_k=int_k))
+            outcomes.add("accepted")
+        except BridgeInfeasible as exc:
+            outcomes.add("lambda" if str(exc).startswith("lambda*") else str(exc))
+    assert {"bump second moments do not bracket r*^2", "lambda"} <= outcomes
+    assert outcomes <= {"bump second moments do not bracket r*^2", "lambda", "accepted"}
+
+
+def test_gamma_identity_mismatch_is_refused(monkeypatch):
+    # a head weight 1% off breaks int G_hat = Gamma, but not int K_hat
+    fill_head = dg.fill_head
+
+    def tampered(partial):
+        cons = fill_head(partial)
+        return dataclasses.replace(cons, k_star=1.01 * cons.k_star)
+
+    monkeypatch.setattr(dg, "fill_head", tampered)
+    with pytest.raises(VerificationFailed, match="Gamma identity mismatch"):
+        dg.construct_degenerate()
+
+
+def _with_prefix_changed(kern, targets, change):
+    """kern whose prefix differs at exactly the thetas in targets."""
+    base = kern.prefix
+
+    @pointwise
+    def prefix(theta):
+        out = base(theta)
+        hit = np.isin(theta, targets)
+        out[hit] = change(out[hit])
+        return out
+
+    return dataclasses.replace(kern, prefix=prefix, cum=None)
+
+
+def _spike_kernel(gamma):
+    """theta^2 (1-theta)^(-1/2): its tail integral outgrows the gap's linear
+    fall, so both hypotheses fail at the first zero."""
+
+    @pointwise
+    def prefix(theta):
+        one = 1.0 - theta
+        p1 = np.sqrt(one)
+        return -2.0 * p1 + 2.0 * p1 * one / 1.5 - p1 * one * one / 2.5
+
+    return Kernel(eval=lambda t: t * t / np.sqrt(1.0 - np.asarray(t)), prefix=prefix,
+                  gamma_const=gamma, sigma=0.5, k_coeff=1.0)
+
+
+def test_verify_degeneracy_refuses_tampered_constructions(construction):
+    cons = construction
+    x_break = cons.x2 + cons.epsilon
+    probes = [x_break + d for d in (1e-4, 1e-5)]  # verify_degeneracy's offsets
+    past = [x_break / x for x in probes]  # where the positive candidate reads K_hat
+    cases = [
+        (dataclasses.replace(cons, result=cons.template), "classified Truncated"),
+        (dataclasses.replace(cons, result=_spike_kernel(cons.template.gamma_const)),
+         "expected exactly 2 zeros, got 1"),
+        (dataclasses.replace(cons, x1=cons.x1 * (1.0 + 1e-9)), "first zero does not match"),
+        (dataclasses.replace(cons, epsilon=1.1 * cons.epsilon), "does not match x2 \\+ eps"),
+        (dataclasses.replace(cons, template=synthetic_kernel(0.5, 2.0)),
+         "positive candidate deviates"),
+        # a NaN candidate passes the deviation test, not the sign test
+        (dataclasses.replace(cons, result=_with_prefix_changed(
+            cons.result, past, lambda v: np.nan)), "positive candidate is not negative"),
+        # the same shift at x1/x and x_break/x leaves the positive candidate
+        # alone and lowers the negative one by x^2 1e-5
+        (dataclasses.replace(cons, result=_with_prefix_changed(
+            cons.result, past + [cons.x1 / x for x in probes], lambda v: v + 1e-5)),
+         "negative candidate is not positive"),
+    ]
+    for tampered, message in cases:
+        with pytest.raises(VerificationFailed, match=message):
+            dg.verify_degeneracy(tampered)

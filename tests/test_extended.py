@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from liesegang import extended, kernel, rings
-from liesegang.errors import InvalidParameter, SingularPanel
+from liesegang.errors import InvalidParameter, PicardStall, SingularPanel
 
 
 @pytest.fixture(scope="module")
@@ -512,3 +512,44 @@ def test_relay_pipeline_checks(sigma, scale):
     # the solves leave the pattern as a fresh solve_pattern finds it
     fresh = rings.solve_pattern(kernel.synthetic_kernel(sigma, scale))
     assert len(fresh.zeros) == len(pattern.zeros)
+
+
+def test_march_needs_a_mollifier(synthetic):
+    with pytest.raises(InvalidParameter, match="at least one mollifier"):
+        extended.mollified_solve(synthetic, [], 1.0, 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kernel_of_infinite_mass_is_refused(synthetic):
+    # with int K infinite, x0 = 0 and omega(x0) = Gamma - 0 inf is NaN,
+    # which the ramp check refuses before any node is marched
+    infinite = dataclasses.replace(synthetic, cum=lambda a, b: math.inf)
+    with pytest.raises(InvalidParameter, match="ramp is not saturated"):
+        extended.mollified_solve(infinite, [extended.Mollifier(1e-2)], 1.0, 1e-3)
+
+
+def test_newton_falls_back_to_bisection(synthetic, synthetic_pattern, monkeypatch):
+    # a NaN slope makes every Newton step leave the bracket; the bisection
+    # steps that replace it reach the same node values
+    moll, b, h = extended.Mollifier(4e-3), 1.5 * synthetic_pattern.x_star, 1e-3
+    _, (newton,) = extended.mollified_solve(synthetic, [moll], b, h)
+    ramp_slope = extended.Mollifier.ramp_slope
+    monkeypatch.setattr(extended.Mollifier, "ramp_slope",
+                        lambda self, z: (ramp_slope(self, z)[0], math.nan))
+    stats = []
+    _, (bisected,) = extended.mollified_solve(synthetic, [moll], b, h, stats)
+    assert stats[0][1] > 3  # more steps than Newton's 3 at most
+    assert np.max(np.abs(bisected - newton)) < 1e-11
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_node_that_does_not_converge_stalls(synthetic):
+    # panel masses that read NaN for theta in (0.7, 0.9) make a node's value
+    # NaN; no step then meets the 1e-12 test, and the node stalls by name
+    prefix = synthetic.prefix
+    holed = dataclasses.replace(
+        synthetic, cum=None,
+        prefix=lambda t: np.where((0.7 < np.asarray(t)) & (np.asarray(t) < 0.9), np.nan, prefix(t)),
+    )
+    with pytest.raises(PicardStall, match="did not converge"):
+        extended.mollified_solve(holed, [extended.Mollifier(4e-3)], 3.0, 1e-3)

@@ -91,6 +91,36 @@ def test_synthetic_cum_additive(a, b, c):
     )
 
 
+SYNTHETIC_SIGMAS = np.round(np.arange(0.20, 0.555, 0.01), 2)
+
+
+@pytest.mark.parametrize("n_points", [256, 1024, 1025, 2048, 4096])
+def test_synthetic_cum_from_zero_is_non_negative_and_rising(n_points):
+    # the closed form's O(1) terms cancel near theta = 0; the power series
+    # there keeps cum(0, theta) at or above 0 and non-decreasing on every
+    # sin^2 grid, for sigma 0.20 to 0.55
+    thetas = np.sin(np.linspace(0.0, np.pi / 2.0, n_points + 1)) ** 2
+    for sigma in SYNTHETIC_SIGMAS:
+        cums = kn.synthetic_kernel(sigma, 1.0).cum(0.0, thetas)
+        assert cums[0] == 0.0 and np.all(np.diff(cums) >= 0.0), sigma
+
+
+@pytest.mark.parametrize("sigma, scale", [(0.2, 1.0), (0.5, 1.0), (0.55, 2.5), (0.37, 0.3)])
+def test_synthetic_prefix_series_near_zero(sigma, scale):
+    kern = kn.synthetic_kernel(sigma, scale)
+    # at theta = 0 the prefix is the closed form, bit for bit
+    closed = scale * (-1.0 / (sigma + 1.0) + 2.0 / (sigma + 2.0) - 1.0 / (sigma + 3.0))
+    assert kern.prefix(0.0) == closed
+    # below the switch the series has the relative accuracy the closed form lacks
+    for theta in (1e-3, 5e-3, np.nextafter(kn._SERIES_THETA, 0.0)):
+        exact, _ = integrate.quad(lambda t: scale * t * t * (1.0 - t) ** sigma, 0.0, theta,
+                                  epsabs=0.0, epsrel=1e-13)
+        assert kern.cum(0.0, theta) == pytest.approx(exact, rel=1e-12)
+    # and it meets the closed form at the switch to round-off of the O(1) terms
+    below = kern.prefix(np.nextafter(kn._SERIES_THETA, 0.0))
+    assert abs(below - kern.prefix(kn._SERIES_THETA)) <= 1e-15 * scale
+
+
 def test_synthetic_cum_is_prefix_difference(synthetic):
     ts = np.linspace(0.0, 1.0, 101)
     assert np.array_equal(synthetic.cum(0.3, ts), synthetic.prefix(ts) - synthetic.prefix(0.3))
@@ -177,6 +207,35 @@ def test_g_small_theta_power_law(profile02):
 def test_k_endpoint_values(profile015):
     assert kn.k_eval(profile015, 0.0) == 0.0
     assert kn.k_eval(profile015, 1.0) == 0.0
+    # the (1 - theta) prefactor vanishes at both ends of G's domain
+    assert kn.g_eval(profile015, 1.0) == 0.0
+    assert kn.g_eval(profile015, -1.0) == 0.0
+
+
+def test_scalar_evaluators_check_their_inputs(profile015, synthetic):
+    with pytest.raises(InvalidParameter, match="quad_tol"):
+        kn.g_eval(profile015, 0.5, 1e-20)
+    with pytest.raises(InvalidParameter, match="quad_tol"):
+        kn.g_eval(profile015, 0.5, 1e-3)
+    for theta in (1.5, -1.0 - 1e-12, np.nan):
+        with pytest.raises(InvalidParameter, match="theta must lie in \\[-1, 1\\]"):
+            kn.g_eval(profile015, theta)
+    for theta in (-0.1, 1.0 + 1e-12, np.nan):
+        with pytest.raises(InvalidParameter, match="theta must lie in \\[0, 1\\]"):
+            kn.k_eval(profile015, theta)
+    for z in (0.0, 1.0, np.nan):
+        with pytest.raises(InvalidParameter, match="z must lie in"):
+            kn.f_diagnostic(synthetic, z)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, -0.5])
+def test_g_eval_refuses_an_inaccurate_quadrature(monkeypatch, profile01, theta):
+    # an error estimate above 10 quad_tol of the value is a failure, at
+    # theta = 0 (kappa > 2 here) as elsewhere
+    assert profile01.kappa > 2.0
+    monkeypatch.setattr(kn, "_quad", lambda *args, **kw: (1.0, 1e-3))
+    with pytest.raises(QuadratureFailure, match="quadrature error"):
+        kn.g_eval(profile01, theta)
 
 
 def test_k_dual_route(profile015):
@@ -571,9 +630,7 @@ def test_f_prime_single_sign_change(model_kernel015):
 
 def test_kernel_from_samples_roundtrip(synthetic):
     thetas = np.sin(np.linspace(0.0, np.pi / 2.0, 1025)) ** 2
-    # the closed-form prefix cancels O(1) terms, so its cumK at the first node
-    # past 0 rounds to -5.6e-17; the loader takes only non-decreasing cumK
-    cums = np.maximum.accumulate(synthetic.cum(0.0, thetas))
+    cums = synthetic.cum(0.0, thetas)
     rebuilt = kn.kernel_from_samples(
         thetas, synthetic.eval(thetas), cums, 0.5, 1.0, synthetic.gamma_const,
     )
@@ -622,6 +679,19 @@ def test_kernel_from_samples_reproduces_nodes(last):
         val, _ = integrate.quad(rebuilt.eval, a, b, epsabs=0.0, epsrel=1e-13,
                                 limit=400, points=inside)
         assert rebuilt.cum(a, b) == pytest.approx(val, rel=1e-12, abs=0.0)
+
+
+def test_kernel_from_samples_rejects_bad_shapes_and_sigma():
+    kern = kn.synthetic_kernel(0.5, 1.0)
+    thetas = np.linspace(0.0, 0.9, 20)
+    k, cum = kern.eval(thetas), kern.cum(0.0, thetas)
+    for sigma in (0.0, kn.SIGMA_MAX, np.nan):
+        with pytest.raises(InvalidParameter, match="sigma must lie in"):
+            kn.kernel_from_samples(thetas, k, cum, sigma, 1.0, 2.0 / 3.0)
+    for args in ((thetas[:7], k[:7], cum[:7]), (thetas, k[:-1], cum),
+                 (thetas, k, cum[:-1]), (thetas[None, :], k[None, :], cum[None, :])):
+        with pytest.raises(InvalidParameter, match="matching 1-d"):
+            kn.kernel_from_samples(*args, 0.5, 1.0, 2.0 / 3.0)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
 from liesegang import pde
 from liesegang.errors import InvalidParameter
@@ -84,6 +85,13 @@ def zero_state(config):
     return state
 
 
+def solve_step(state, config):
+    """pde.step's implicit solve without the transport, so state.p stays
+    as the test set it."""
+    state.w = pde._solve_tridiagonal(*pde.assemble_system(state, config))
+    state.j += 1
+
+
 def test_initial_phi_hook(small_config):
     # from w = 0 (the profile Phi itself) and p = 0 the right side is the source alone
     state = zero_state(small_config)
@@ -94,9 +102,9 @@ def test_initial_phi_hook(small_config):
 
 def test_zero_dynamics(small_config):
     state = zero_state(small_config)
+    state.src = np.zeros(small_config.n_full)
     for _ in range(20):
-        pde.step(state, small_config, p_override=np.zeros(small_config.n_full),
-                 source_on=False)
+        solve_step(state, small_config)
     assert np.max(np.abs(state.w)) == 0.0
 
 
@@ -112,7 +120,8 @@ def test_fractional_p_keeps_stationary(small_config):
                 state.profile.gamma / np.maximum(small_config.eta * s, 1e-300) ** 2,
                 0.0,
             )
-        pde.step(state, small_config, p_override=p_frac)
+        state.p = p_frac
+        solve_step(state, small_config)
     assert np.max(np.abs(state.w)) < 1e-14
 
 
@@ -124,7 +133,7 @@ def test_psi_phi_stationarity_truncation(params02):
         state = pde.init(cfg)
         w0 = state.w.copy()
         for _ in range(50):
-            pde.step(state, cfg, p_override=np.zeros(cfg.n_full))
+            solve_step(state, cfg)  # init's p = 0
         drifts.append(np.max(np.abs(state.w - w0)))
     assert drifts[0] < 5e-3
     assert drifts[1] < drifts[0]
@@ -151,8 +160,14 @@ def test_discrete_maximum_principle(params02):
     state = pde.init(cfg)
     floor = min(0.0, float(np.min(state.w)))
     for _ in range(50):
-        pde.step(state, cfg, p_override=np.zeros(cfg.n_full))
+        solve_step(state, cfg)  # init's p = 0
         assert np.min(state.w) >= floor - 1e-12
+
+
+def test_solve_rejects_a_singular_matrix():
+    # a zero diagonal of odd size is singular: gtsv reports a zero pivot
+    with pytest.raises(LinAlgError, match="gtsv failed"):
+        pde._solve_tridiagonal(np.zeros(5), -np.ones(5), -np.ones(5), np.ones(5))
 
 
 def test_solve_rejects_non_finite_rhs(small_config):

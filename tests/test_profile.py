@@ -233,3 +233,19 @@ def test_psi_jump_condition(params02):
 def test_psi_dominates_phi(params02, profile02):
     eta = np.linspace(0.0, 1.0, 41)
     assert np.all(psi_eval(params02, eta) >= phi_eval(profile02, eta))
+
+
+def test_profile_evaluators_refuse_negative_eta(profile02, params02):
+    for eta in (-1e-12, np.array([0.0, 0.5, -1.0])):
+        with pytest.raises(InvalidParameter, match="eta must be non-negative"):
+            phi_eval(profile02, eta)
+        with pytest.raises(InvalidParameter, match="eta must be non-negative"):
+            psi_eval(params02, eta)
+
+
+def test_solve_kappa_refuses_a_root_with_a_residual(monkeypatch, params02):
+    # a curve that jumps across u* brackets a sign change but has no root:
+    # Brent's method converges to the jump, where the residual is 1
+    monkeypatch.setattr(pr, "u_star_curve", lambda params, k: 0.2 + (1.0 if k < 3.0 else -1.0))
+    with pytest.raises(NoRoot, match="residual above 1e-12"):
+        solve_kappa(params02)

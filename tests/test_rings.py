@@ -387,3 +387,27 @@ def test_model_kernel_pattern(model_pattern):
     assert model_pattern.classification is rings.Classification.NON_DEGENERATE_ACCUMULATION
     w = model_pattern.widths
     assert all(w2 < w1 for w1, w2 in zip(w[2:], w[3:]))
+
+
+def test_classify_needs_a_positive_zero(synthetic):
+    with pytest.raises(InvalidParameter, match="at least one positive zero"):
+        rings.classify_continuation(synthetic, [0.0], 1e-3)
+
+
+def test_touches_stop_after_max_zeros_in_a_row(synthetic, monkeypatch):
+    # a scan that finds a zero one unit on from wherever it resumes, and a
+    # verdict that holds only the untoggled hypothesis: every zero is a
+    # touch, and after max_zeros + 1 of them in a row the solve gives up
+    starts = []
+
+    def next_zero(kern, zeros, scan_step, root_tol, horizon, start):
+        starts.append(start)
+        return start + 1.0
+
+    monkeypatch.setattr(rings, "next_zero", next_zero)
+    monkeypatch.setattr(rings, "classify_continuation",
+                        lambda kern, zeros, delta: rings.ContinuationVerdict(True, False))
+    pattern = rings.solve_pattern(synthetic, max_zeros=3)
+    assert pattern.zeros == (0.0,)
+    assert pattern.classification is rings.Classification.TRUNCATED
+    assert len(starts) == 4
