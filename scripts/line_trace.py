@@ -1,6 +1,6 @@
 """Line trace of the tier-1 tests over src/liesegang, without coverage.py.
 
-Usage: python scripts/line_trace.py [extra pytest arguments]
+Usage: python scripts/line_trace.py
 
 Installs a sys.settrace hook restricted to the package's files before the
 package is imported, runs the tests in this process with a fixed Hypothesis
@@ -71,7 +71,7 @@ class _NoDeadline:
         settings.load_profile("line_trace")
 
 
-def main(argv) -> int:
+def main() -> int:
     import pytest
 
     package = str(PACKAGE) + os.sep
@@ -95,7 +95,7 @@ def main(argv) -> int:
     sys.settrace(hook)
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed", "0",
-                            str(ROOT / "tests"), *argv], plugins=[_NoDeadline()])
+                            str(ROOT / "tests")], plugins=[_NoDeadline()])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -121,4 +121,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -385,10 +385,15 @@ def test_fill_head_without_tail_power(template, partial):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fill_head_refuses_r_star_next_to_r(template, partial):
-    # masses that put r* within 1e-9 to 1e-3 (relative) of r shrink the
-    # second bump's support [r*, r] until its power-basis moments are
-    # round-off: mostly they fail to bracket r*^2, sometimes the bracket holds
-    # on moments of the wrong sign and the weight lambda* leaves (0, 1)
+    # in exact arithmetic the bump second moments bracket r*^2 and lambda*
+    # lies in (0, 1) for every 0 < r* < r, which the tail-power search
+    # ensures, so no input is infeasible for these two checks; only round-off
+    # reaches them.  This test pins that round-off: masses that put r* within
+    # 1e-9 to 1e-3 (relative) of r shrink the second bump's support [r*, r]
+    # until its power-basis moments are noise, which mostly fail to bracket
+    # r*^2 and sometimes have the wrong sign, so that lambda* leaves (0, 1).
+    # A bump basis that keeps these moments accurate makes both checks dead;
+    # then this test goes, together with them.
     r, g_r = partial.r, partial.g_at_r
     den = template.gamma_const - partial.int_g - g_r * r / 2.0
     outcomes = set()

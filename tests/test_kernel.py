@@ -111,11 +111,14 @@ def test_synthetic_prefix_series_near_zero(sigma, scale):
     # at theta = 0 the prefix is the closed form, bit for bit
     closed = scale * (-1.0 / (sigma + 1.0) + 2.0 / (sigma + 2.0) - 1.0 / (sigma + 3.0))
     assert kern.prefix(0.0) == closed
-    # below the switch the series has the relative accuracy the closed form lacks
-    for theta in (1e-3, 5e-3, np.nextafter(kn._SERIES_THETA, 0.0)):
+    # below the switch cum(0, theta) = (closed + series) - closed is the sum
+    # rounded once, so it sits within one ulp of prefix(0) of the integral;
+    # the closed form's cancelling terms miss it by up to 7 ulps there
+    ulp = np.spacing(abs(closed))
+    for theta in (1e-4, 1e-3, 5e-3, np.nextafter(kn._SERIES_THETA, 0.0)):
         exact, _ = integrate.quad(lambda t: scale * t * t * (1.0 - t) ** sigma, 0.0, theta,
                                   epsabs=0.0, epsrel=1e-13)
-        assert kern.cum(0.0, theta) == pytest.approx(exact, rel=1e-12)
+        assert abs(kern.cum(0.0, theta) - exact) <= ulp, theta
     # and it meets the closed form at the switch to round-off of the O(1) terms
     below = kern.prefix(np.nextafter(kn._SERIES_THETA, 0.0))
     assert abs(below - kern.prefix(kn._SERIES_THETA)) <= 1e-15 * scale
