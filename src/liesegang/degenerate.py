@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 from scipy.interpolate import CubicHermiteSpline
 
 from . import rings
@@ -56,12 +56,11 @@ def _omega_star(template: Kernel, x1: float):
 
     @pointwise
     def value(x):
-        ratio = np.minimum(np.where(x > 0, x1 / np.maximum(x, 1e-300), 1.0), 1.0)
-        return gamma - x * x * template.cum(0.0, ratio)
+        return gamma - x * x * template.cum(0.0, x1 / np.maximum(x, x1))
 
     @pointwise
     def slope(x):
-        ratio = np.minimum(np.where(x > 0, x1 / np.maximum(x, 1e-300), 1.0), 1.0)
+        ratio = x1 / np.maximum(x, x1)
         return -2.0 * x * template.cum(0.0, ratio) + np.where(
             x > x1, x1 * template.eval(ratio), 0.0
         )
@@ -281,66 +280,61 @@ def fill_head(partial: PartialKernel) -> DegenerateConstruction:
     then mixes two quartic bumps b1 on [0, r*/2] and b2 on [r*, r] with the
     weight lambda* solving B1(lambda)/B2(lambda) = r*^2, and adds the tail
     G_eps(r) theta^(n+2)/r^n.  The construction forces int K_hat = int K*
-    and int G_hat = Gamma; the moments, b_norm, head and prefix all come
-    from one polynomial per bump, so int K_hat meets int K* to rounding.
+    and int G_hat = Gamma; each bump is a product and its mass a sum of
+    non-negative incomplete Betas, so int K_hat meets int K* to rounding.
     """
     bridge, r = partial.bridge, partial.r
     template = bridge.template
     gamma = template.gamma_const
-    total_k = template.cum(0.0, 1.0)
-    mass_k = total_k - partial.int_k
+    mass_k = template.cum(0.0, 1.0) - partial.int_k
     mass_g = gamma - partial.int_g
     g_r = partial.g_at_r
 
-    n_power = None
-    for n in range(1, 201):
-        num = mass_k - g_r * r**3 / (n + 3.0)
-        den = mass_g - g_r * r / (n + 1.0)
-        if num > 0 and den > 0 and num / den < r * r:
-            n_power = n
-            r_star2 = num / den
-            k_star = num
+    for n_power in range(1, 201):
+        k_star = mass_k - g_r * r**3 / (n_power + 3.0)
+        den = mass_g - g_r * r / (n_power + 1.0)
+        if k_star > 0 and den > 0 and k_star / den < r * r:
+            r_star2 = k_star / den
             break
-    if n_power is None:
+    else:
         raise BridgeInfeasible("no tail power n <= 200 satisfies the ratio bound")
     r_star = float(np.sqrt(r_star2))
 
-    # each bump (theta - lo)^4 (hi - theta)^4 is one polynomial; its moments,
-    # b_norm, the head and its prefix all come from it
-    th = np.polynomial.Polynomial([0.0, 1.0])
+    # each bump is theta^2 (theta - lo)^4 (hi - theta)^4 on [lo, hi]; with
+    # theta = lo + L s its mass up to lo + u L is L^9 int_0^u (lo + L s)^2
+    # s^4 (1-s)^4 ds, a sum of non-negative incomplete Betas I_u(5|6|7, 5)
+    # weighted by B(5,5) = 2 B(6,5) = 1/630 and B(7,5) = 1/2310
     supports = ((0.0, r_star / 2.0), (r_star, r))
-    bumps = [(th - lo) ** 4 * (hi - th) ** 4 for lo, hi in supports]
-    weighted = [th * th * b for b in bumps]
-    anti_w = [w.integ() for w in weighted]
 
-    def bump_masses(t):
-        # int_lo^t theta^2 b of each bump, t clipped to the bump's support
-        return [a(np.clip(t, lo, hi)) - a(lo) for a, (lo, hi) in zip(anti_w, supports)]
+    def bump_mass(lo, hi, u):
+        length = hi - lo
+        i5, i6, i7 = (special.betainc(a, 5.0, u) for a in (5.0, 6.0, 7.0))
+        return length**9 * (lo * lo * i5 / 630.0 + lo * length * i6 / 630.0
+                            + length * length * i7 / 2310.0)
 
-    i0_b1, i0_b2 = (b.integ()(hi) - b.integ()(lo) for b, (lo, hi) in zip(bumps, supports))
-    i2_b1, i2_b2 = bump_masses(r)
-    if not (i2_b1 / i0_b1 < r_star2 < i2_b2 / i0_b2):
-        raise BridgeInfeasible("bump second moments do not bracket r*^2")
-    # B1(lambda)/B2(lambda) = r*^2 is linear in lambda; the complement
-    # mu = 1 - lambda is carried explicitly because lambda* can sit within
-    # round-off of 1 when the bump masses are lopsided
+    i2_b1, i2_b2 = (bump_mass(lo, hi, 1.0) for lo, hi in supports)
+    i0_b1, i0_b2 = ((hi - lo) ** 9 / 630.0 for lo, hi in supports)
+    # B1(lambda)/B2(lambda) = r*^2 is linear in lambda; mu = 1 - lambda is
+    # carried explicitly, as lambda* can sit within round-off of 1.  Both lie
+    # in (0, 1) for 0 < r* < r, so they fail only where r* rounds to r
     a1 = i2_b1 - r_star2 * i0_b1
     a2 = i2_b2 - r_star2 * i0_b2
     lambda_star = a2 / (a2 - a1)
     mu_star = -a1 / (a2 - a1)
     if not (lambda_star > 0.0 and mu_star > 0.0):
-        raise BridgeInfeasible(f"lambda* = {lambda_star} outside (0, 1)")
+        raise BridgeInfeasible(f"r* = {r_star!r} leaves a head bump no support in "
+                               f"[0, r = {r!r}]: lambda* = {lambda_star}")
     b_norm = lambda_star * i2_b1 + mu_star * i2_b2
 
     def head(t):
-        # near a bump's ends the power basis can round below 0
-        w1, w2 = (np.where((t >= lo) & (t <= hi), np.maximum(w(t), 0.0), 0.0)
-                  for w, (lo, hi) in zip(weighted, supports))
+        w1, w2 = (np.where((t >= lo) & (t <= hi), t * t * ((t - lo) * (hi - t)) ** 4, 0.0)
+                  for lo, hi in supports)
         spline = k_star / b_norm * (lambda_star * w1 + mu_star * w2)
         return spline + g_r * t ** (n_power + 2) / r**n_power
 
     def head_prefix(t):
-        part1, part2 = bump_masses(t)
+        part1, part2 = (bump_mass(lo, hi, np.clip((t - lo) / (hi - lo), 0.0, 1.0))
+                        for lo, hi in supports)
         spline = k_star / b_norm * (lambda_star * part1 + mu_star * part2)
         return spline + g_r * t ** (n_power + 3) / ((n_power + 3.0) * r**n_power)
 

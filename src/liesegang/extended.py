@@ -230,12 +230,13 @@ def _relay_grid(kern: Kernel, mollifiers, b: float, h: float) -> _RelayGrid:
         raise InvalidParameter("need h <= epsilon/4 to resolve the relay ramp")
     gamma = kern.gamma_const
     eps = max(m.epsilon for m in mollifiers)
-    if not eps < gamma:
-        raise InvalidParameter(
-            f"epsilon {eps:.6g} must be below Gamma = {gamma:.6g}, or the relay has no first band"
-        )
+    # at least Gamma unless eps < Gamma by more than rounding (x0 = 0 otherwise)
+    level = max(gamma / 16.0, min(2.0 * eps, 0.5 * (gamma + eps)))
+    if not level < gamma:
+        raise InvalidParameter(f"epsilon {float(eps)!r} must be below Gamma = {float(gamma)!r} "
+                               "by more than rounding, or the relay has no first band")
     mass = float(kern.cum(0.0, 1.0))
-    x0 = min(np.sqrt((gamma - max(gamma / 16.0, min(2.0 * eps, 0.5 * (gamma + eps)))) / mass), b)
+    x0 = min(np.sqrt((gamma - level) / mass), b)
     if any(m.ramp_slope(gamma - x0 * x0 * mass)[0] != 1.0 for m in mollifiers):
         raise InvalidParameter(f"the ramp is not saturated at the first band's end x0 = {x0:.6g}")
     if not x0 <= MAX_NODES * h:

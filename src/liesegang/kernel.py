@@ -74,6 +74,12 @@ TABLE_QUAD_TOL = 1e-9  # build_kernel_table's default probe tolerance, the CLI's
 _SERIES_THETA, _SERIES_TERMS = 1e-2, 10  # synthetic_kernel's power series near theta = 0
 
 
+def require_sigma(sigma: float) -> None:
+    """Raise InvalidParameter unless sigma is an admissible degeneracy exponent."""
+    if not 0.0 < sigma < SIGMA_MAX:
+        raise InvalidParameter(f"sigma must lie in (0, {SIGMA_MAX:.6f}), got {sigma}")
+
+
 def _quad(f, a, b, quad_tol, **kw):
     """QUADPACK wrapper; the caller applies its own error policy."""
     with warnings.catch_warnings():
@@ -133,8 +139,7 @@ def synthetic_kernel(sigma: float, scale: float) -> Kernel:
     associated density G = scale (1-theta)^sigma gives
     gamma_const = scale / (1 + sigma).
     """
-    if not 0.0 < sigma < SIGMA_MAX:
-        raise InvalidParameter(f"sigma must lie in (0, {SIGMA_MAX:.6f}), got {sigma}")
+    require_sigma(sigma)
     require_positive(scale=scale)
 
     # the series coefficients scale (-1)^n binom(sigma, n) / (n + 3), n < _SERIES_TERMS
@@ -474,8 +479,7 @@ def kernel_from_samples(
     (1-theta)^sigma.  A last node below 1 gets a node at theta = 1 that
     holds V, so past it P is linear in w and K follows (1-theta)^sigma.
     """
-    if not 0.0 < sigma < SIGMA_MAX:
-        raise InvalidParameter(f"sigma must lie in (0, {SIGMA_MAX:.6f}), got {sigma}")
+    require_sigma(sigma)
     t = np.asarray(thetas, dtype=float)
     k = np.asarray(k_values, dtype=float)
     cum = np.asarray(cum_values, dtype=float)

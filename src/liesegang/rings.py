@@ -27,7 +27,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import InvalidParameter, require_positive
-from .kernel import SIGMA_MAX, Kernel
+from .kernel import Kernel, require_sigma
 from .specfun import pointwise
 
 MAX_SCAN_POINTS = 2**20  # omega evaluations of one next_zero scan, checked as it advances
@@ -231,8 +231,7 @@ def q_star(sigma: float) -> float:
     A geometric scan from _Q_FLOOR brackets the root (so sigma >= 0.00757,
     as it falls like sigma^(1/sigma)); Brent's method refines it to 4 eps.
     """
-    if not 0.0 < sigma < SIGMA_MAX:
-        raise InvalidParameter(f"sigma must lie in (0, {SIGMA_MAX:.6f}), got {sigma}")
+    require_sigma(sigma)
 
     def g(q):
         # (1+q)^(1+sigma) - 1 written through expm1/log1p: the root collapses

@@ -237,9 +237,8 @@ def test_touch_is_scanned_past(monkeypatch):
     # theta_breaks entry; rebuilt from those nodes at sigma 0.462021, the
     # kernel's omega first meets zero just short of x2 + eps and turns back
     # (only the untoggled candidate holds), so that zero is dropped and the
-    # scan resumes past the probe to the breakdown itself.  Those nodes round
-    # cumK downward by up to 3.1e-14 of its largest value, which the loader
-    # refuses, so cumK is taken through its running maximum
+    # scan resumes past the probe to the breakdown itself.  The head's
+    # incomplete-Beta masses keep cumK non-decreasing at those nodes
     sigma = 0.462021
     cons = dg.construct_degenerate(synthetic_kernel(sigma, 1.0))
     spacing = np.pi / (2.0 * 2048)
@@ -250,7 +249,7 @@ def test_touch_is_scanned_past(monkeypatch):
     base = np.sin(np.linspace(0.0, np.pi / 2.0, 2049)) ** 2
     thetas = np.unique(np.concatenate([base, cluster, cons.theta_breaks]))
     kern = kernel_from_samples(
-        thetas, cons.result.eval(thetas), np.maximum.accumulate(cons.result.cum(0.0, thetas)),
+        thetas, cons.result.eval(thetas), cons.result.cum(0.0, thetas),
         sigma, cons.result.k_coeff, cons.result.gamma_const,
     )
     verdicts = []
@@ -305,7 +304,10 @@ def assert_input_error(argv, capsys):
     return err
 
 
-@pytest.mark.parametrize("eps", ["a,b", "nan"])
+@pytest.mark.parametrize("eps", [
+    "a,b", "nan", "1e-2,,5e-3", "1e-2;5e-3", "1e-2 5e-3", "", ",", "1e-2,", "0x1p-7", "inf",
+    "1e-320", "1e-2,1e-2", "1e-2,2e-2",
+])
 def test_extended_malformed_eps_exits_two(tmp_path, capsys, eps):
     assert_input_error(
         ["extended", "--eps", eps, "--out", str(tmp_path / "e.csv")], capsys

@@ -270,8 +270,8 @@ def constructions():
 
 @pytest.mark.parametrize("sigma", IDENTITY_SIGMAS)
 def test_mass_identity_and_tangential_zero_to_rounding(constructions, sigma):
-    # the head's moments, b_norm and prefix come from one polynomial per
-    # bump, so int K_hat = int K* and omega(x2 + eps) = 0 hold to rounding
+    # the head's moments, b_norm and prefix are the same incomplete-Beta
+    # masses, so int K_hat = int K* and omega(x2 + eps) = 0 hold to rounding
     cons = constructions[sigma]
     kern, eps = cons.result, np.finfo(float).eps
     total = cons.template.cum(0.0, 1.0)
@@ -383,29 +383,56 @@ def test_fill_head_without_tail_power(template, partial):
         dg.fill_head(dataclasses.replace(partial, int_k=template.cum(0.0, 1.0)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_fill_head_refuses_r_star_next_to_r(template, partial):
-    # in exact arithmetic the bump second moments bracket r*^2 and lambda*
-    # lies in (0, 1) for every 0 < r* < r, which the tail-power search
-    # ensures, so no input is infeasible for these two checks; only round-off
-    # reaches them.  This test pins that round-off: masses that put r* within
-    # 1e-9 to 1e-3 (relative) of r shrink the second bump's support [r*, r]
-    # until its power-basis moments are noise, which mostly fail to bracket
-    # r*^2 and sometimes have the wrong sign, so that lambda* leaves (0, 1).
-    # A bump basis that keeps these moments accurate makes both checks dead;
-    # then this test goes, together with them.
+@pytest.mark.parametrize("sigma", [0.3, 0.5])
+def test_fill_head_accepts_r_star_next_to_r(sigma):
+    # masses that put r* within 1e-9 to 1e-3 (relative) of r squeeze the
+    # second bump into [r*, r]; its product form and incomplete-Beta masses
+    # are sums of non-negative terms, so every input is accepted, both mass
+    # identities hold to rounding and K_hat stays non-negative on the head
+    template = synthetic_kernel(sigma, 1.0)
+    partial = dg.choose_epsilon(template, *dg.template_zeros(template))
     r, g_r = partial.r, partial.g_at_r
-    den = template.gamma_const - partial.int_g - g_r * r / 2.0
-    outcomes = set()
+    total_k, gamma = template.cum(0.0, 1.0), template.gamma_const
+    den = gamma - partial.int_g - g_r * r / 2.0
+    ends = 1.0 - 2.0 ** -np.arange(1.0, 40.0)
     for d in np.geomspace(1e-9, 1e-3, 200):
-        int_k = template.cum(0.0, 1.0) - (r * r * (1.0 - d) * den + g_r * r**3 / 4.0)
-        try:
-            dg.fill_head(dataclasses.replace(partial, int_k=int_k))
-            outcomes.add("accepted")
-        except BridgeInfeasible as exc:
-            outcomes.add("lambda" if str(exc).startswith("lambda*") else str(exc))
-    assert {"bump second moments do not bracket r*^2", "lambda"} <= outcomes
-    assert outcomes <= {"bump second moments do not bracket r*^2", "lambda", "accepted"}
+        int_k = total_k - (r * r * (1.0 - d) * den + g_r * r**3 / 4.0)
+        cons = dg.fill_head(dataclasses.replace(partial, int_k=int_k))
+        rs = cons.r_star
+        assert rs < r
+        assert abs(cons.result.cum(0.0, 1.0) - total_k) <= 1e-15
+        head_g = cons.k_star / rs**2 + g_r * r / (cons.n_power + 1.0)
+        assert abs(head_g + partial.int_g - gamma) <= 1e-15
+        thetas = np.concatenate([
+            np.linspace(0.0, r, 1001), rs / 2.0 * ends, rs / 2.0 * (2.0 - ends),
+            rs + (r - rs) * ends, r - (r - rs) * ends,
+        ])
+        assert np.all(cons.result.eval(thetas) >= 0.0)
+
+
+def test_head_bump_vanishes_to_fourth_order_at_its_end(constructions):
+    # K_hat ~ (r*/2 - theta)^4 just below the first bump's end, so halving
+    # the distance divides it by 16, down to distances of 2^-30 r*/2 where
+    # K_hat is about 1e-36 (the tail term there is about 1e-42)
+    cons = constructions[0.55]
+    vals = cons.result.eval(cons.r_star / 2.0 * (1.0 - 2.0 ** -np.arange(10.0, 31.0)))
+    assert vals[:-1] / vals[1:] == pytest.approx(16.0, rel=0.01)
+
+
+def test_fill_head_refuses_r_star_within_rounding_of_r(template, partial):
+    # r*^2 one float below r^2 rounds r* = sqrt(r*^2) to r itself, which
+    # leaves the second bump [r*, r] no support.  With no tail (G_eps(r) = 0)
+    # r*^2 is the head mass ratio (int K* - int_k)/(Gamma - int_g), set here
+    # to that float over 1
+    r = partial.r
+    r_star2 = np.nextafter(r * r, 0.0)
+    assert np.sqrt(r_star2) == r
+    total_k, gamma = template.cum(0.0, 1.0), template.gamma_const
+    int_k, int_g = total_k - r_star2, gamma - 1.0
+    assert (total_k - int_k, gamma - int_g) == (r_star2, 1.0)
+    tampered = dataclasses.replace(partial, int_k=int_k, int_g=int_g, g_at_r=0.0)
+    with pytest.raises(BridgeInfeasible, match=r"leaves a head bump no support.*lambda\* = 0\.0"):
+        dg.fill_head(tampered)
 
 
 def test_gamma_identity_mismatch_is_refused(monkeypatch):

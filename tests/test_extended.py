@@ -209,6 +209,16 @@ def test_eps_not_below_gamma_has_no_first_band(synthetic):
         extended.mollified_solve(synthetic, [extended.Mollifier(0.7)], 3.0, 1e-3)
 
 
+def test_eps_an_ulp_below_gamma_has_no_first_band(monkeypatch):
+    # (Gamma + eps)/2 rounds to Gamma, so the first band would end at x0 = 0;
+    # the ramp width is refused by name before any node is laid out
+    kern = kernel.synthetic_kernel(0.3, 1.0)
+    eps = np.nextafter(kern.gamma_const, 0.0)
+    monkeypatch.setattr(extended, "_geometric_nodes", None)
+    with pytest.raises(InvalidParameter, match="below Gamma .* by more than rounding"):
+        extended._relay_grid(kern, [extended.Mollifier(eps)], 5.0, eps / 4.0)
+
+
 @pytest.fixture(scope="module")
 def coarse():
     # a small grid: q - 1 is about 0.05
