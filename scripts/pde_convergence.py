@@ -1,11 +1,14 @@
 """Grid-refinement study of the similarity-variable scheme.
 
-Runs both model variants over a resolution sweep and reports the decay of
+Runs the simplified model over a resolution sweep and reports the decay of
 the difference field plus the drift of the first relay toggle along the
-source parabola.
+source parabola, with each level's wall time and cost per step.
+
+Usage: python scripts/pde_convergence.py [--ustar U] [--smax S] [--levels L]
 """
 
 import argparse
+import time
 
 from liesegang import pde, rings
 from liesegang.kernel import build_kernel_table
@@ -30,13 +33,16 @@ def main():
         n_cells = 250 * 2**level
         ds = 4e-3 / 2**level
         cfg = pde.PdeConfig(params, N=n_cells, ds=ds, s_max=args.smax)
+        start = time.perf_counter()
         result = pde.run(cfg)
+        wall = time.perf_counter() - start
         report = pde.parabola_compare(result, kern, pattern)
         toggle = report.pde_toggles[0] if report.pde_toggles else float("nan")
         print(
             f"N={n_cells:5d} ds={ds:.1e}: sup trace diff {report.sup_trace_diff:.3e}, "
             f"first toggle {toggle:.6f}, onset error {abs(toggle - x1):.3e} "
-            f"({report.first_onset_cells:.2f} physical cells)"
+            f"({report.first_onset_cells:.2f} physical cells), "
+            f"wall {wall:.2f} s ({1e6 * wall / cfg.n_steps:.1f} us per step)"
         )
 
 

@@ -44,8 +44,9 @@ FULL = "full"
 SIMPLIFIED = "simplified"
 
 # size caps, checked before anything is allocated: run() keeps about 100
-# snapshots of w and p on 6 N cells (about 9600 N bytes), and the step
-# histories and recorded traces take 48 bytes per step
+# snapshots of w and p on 6 N cells (about 9600 N bytes), the step
+# histories and recorded traces take 48 bytes per step, and init's diagonal
+# table 8 bytes per step and per cell
 MAX_N = 20_000  # 10x the largest N the benchmark runs
 MAX_STEPS = 10**6
 
@@ -97,6 +98,9 @@ class PdeState:
     src: np.ndarray  # (2 gamma / eta^2) Phi on 0 < eta <= alpha, else 0
     lower: np.ndarray  # the step matrix's fixed off-diagonals
     upper: np.ndarray
+    diag_table: np.ndarray  # entry k is k + 4/d_eta^2; step j's diagonal is [j, j + 6N)
+    cells: np.ndarray  # 0..N, the transport's index vector
+    thresh: np.ndarray  # u* - Phi on cells N.., the precipitation threshold
     p_source_hist: np.ndarray  # slot k: source-cell precipitation at step k
     P_hist: np.ndarray  # slot k: running sum of p_source_hist[1..k]
 
@@ -116,6 +120,9 @@ def init(config: PdeConfig) -> PdeState:
     return PdeState(
         j=0, w=w0, p=np.zeros_like(eta), P_running=0.0, I_max=-1, profile=profile,
         phi_grid=phi_grid, src=src, lower=np.full(config.n_full, -2.0 / de2), upper=upper,
+        # the integer j + i is exact, so each entry rounds as (j + i) + 4/de2 would
+        diag_table=np.arange(config.n_full + config.n_steps + 1) + 4.0 / de2,
+        cells=np.arange(config.N + 1), thresh=config.params.u_star - phi_grid[config.N :],
         p_source_hist=np.zeros(config.n_steps + 1), P_hist=np.zeros(config.n_steps + 1),
     )
 
@@ -124,12 +131,15 @@ def assemble_system(state: PdeState, config: PdeConfig):
     """Tridiagonal matrix and right side for the step to index j+1, from
     state.w, state.p and the source state.src."""
     j = state.j + 1
-    diag = j + np.arange(config.n_full) + 4.0 / config.d_eta**2
+    diag = state.diag_table[j : j + config.n_full]
     s_j = j * config.ds
-    density = state.phi_grid + state.w if config.model == FULL else state.phi_grid
-    b = state.src + j * state.w
-    # row 0 is overwritten below, so its sink (inf * 0 for a p singular at eta = 0) is skipped
-    b[1:] -= 2.0 * s_j**2 * state.p[1:] * density[1:]
+    b = state.w * j
+    b += state.src
+    # transport confines p to cells 1..max(N, I_max), so the sink runs there; row 0
+    # is overwritten below, so its sink (inf * 0 for p singular at eta = 0) is skipped
+    m = max(config.N, state.I_max) + 1
+    density = state.phi_grid[1:m] + state.w[1:m] if config.model == FULL else state.phi_grid[1:m]
+    b[1:m] -= 2.0 * s_j**2 * state.p[1:m] * density
     b[0] = b[1]
     return diag, state.lower, state.upper, b
 
@@ -158,15 +168,14 @@ def transport_p(state: PdeState, config: PdeConfig) -> np.ndarray:
     """Update the precipitation field for the (already solved) step."""
     j = state.j
     N = config.N
-    u_star = config.params.u_star
     w = state.w
-    p = np.zeros_like(state.p)
+    p = np.zeros(config.n_full)
 
     if config.model == SIMPLIFIED:
-        p_src = 1.0 if w[N] >= u_star - state.phi_grid[N] else 0.0
+        p_src = 1.0 if w[N] >= state.thresh[0] else 0.0
     else:
-        above = np.nonzero(w[N:] > u_star - state.phi_grid[N:])[0]
-        frontier = N + int(above.max()) if len(above) else -1
+        above = (w[N:] > state.thresh).nonzero()[0]
+        frontier = N + int(above[-1]) if len(above) else -1
         recede = (state.I_max * (j - 1)) // j if state.I_max >= 0 else -1
         state.I_max = max(frontier, recede)
         p_src = 1.0 if state.I_max >= N else 0.0
@@ -179,14 +188,13 @@ def transport_p(state: PdeState, config: PdeConfig) -> np.ndarray:
     if config.model == SIMPLIFIED:
         p[N] = p_src
 
-    i_arr = np.arange(N)
-    lo = backward_index(i_arr, j, N)
+    k = backward_index(state.cells, j, N)
     if j <= N:
-        p[:N] = state.p_source_hist[lo]
+        p[:N] = state.p_source_hist[k[:N]]
     else:
-        # (i + 1) j // N <= j for i < N, so every index is a filled slot
-        hi = backward_index(i_arr + 1, j, N)
-        p[:N] = (N / j) * (state.P_hist[hi] - state.P_hist[lo])
+        # cell i sums the sources in slots k[i] + 1..k[i + 1]; k[N] = j is filled
+        q = state.P_hist[k]
+        p[:N] = (N / j) * (q[1:] - q[:-1])
     state.p = p
     return p
 
@@ -224,12 +232,14 @@ def run(config: PdeConfig) -> PdeRun:
     snapshots = []
     for k in range(n_steps):
         step(state, config)
+        w = state.w
         s_out[k] = state.j * config.ds
-        sup_w[k] = float(np.max(np.abs(state.w)))
-        trace_w[k] = float(state.w[config.N])
-        trace_p[k] = float(state.p[config.N])
+        # max|w| bit for bit; abs folds the -0.0 an all-zero w would give
+        sup_w[k] = abs(max(w.max(), -w.min()))
+        trace_w[k] = w[config.N]
+        trace_p[k] = state.p[config.N]
         if state.j % cadence == 0:
-            snapshots.append((s_out[k], state.w.copy(), state.p.copy()))
+            snapshots.append((s_out[k], w.copy(), state.p.copy()))
     return PdeRun(
         config=config,
         s=s_out,

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import math
 import os
 import runpy
@@ -8,6 +10,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liesegang import degenerate as dg
 from liesegang import pde, rings
@@ -494,6 +498,30 @@ def test_integer_flag_never_raises(tmp_path, capsys, argv, flag, cap, value):
     assert "Traceback" not in capsys.readouterr().err
     if value == str(cap + 1) and flag != "--max-zeros":
         assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [["pde"], ["compare", "--table-points", "256"]],
+                         ids=["pde", "compare"])
+@settings(max_examples=20, deadline=None)
+@given(n_cells=st.integers(1, pde.MAX_N))
+@example(n_cells=1).via("the smallest size")
+@example(n_cells=15).via("one below the floor")
+@example(n_cells=16).via("the floor")
+@example(n_cells=pde.MAX_N).via("the cap")
+def test_pde_size_between_one_and_the_cap(tmp_path_factory, argv, n_cells):
+    # a 2-step run costs under 0.2 s even at the cap, so no draw starts a long run
+    out = tmp_path_factory.mktemp("size") / "o.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = dispatch(argv + ["--N", str(n_cells), "--ds", "1e-2", "--smax", "2e-2",
+                              "--out", str(out)])
+    assert "Traceback" not in err.getvalue()
+    if n_cells < 16:
+        assert rc == 2
+        assert err.getvalue().startswith("error: InvalidParameter: N must lie in [16, ")
+    else:
+        assert rc == 0
+        assert len(read_rows(out)[2]) == 2
 
 
 def test_default_stdout_csv_reads_back(tmp_path, capsys):

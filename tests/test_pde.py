@@ -308,3 +308,92 @@ def test_parabola_compare_report(params02, model_kernel02, model_pattern):
     assert len(report.pde_toggles) >= 1
     assert report.zero_times[0] == pytest.approx(model_pattern.zeros[1], rel=1e-12)
     assert report.first_onset_cells < 5.0
+
+
+def _reference_step(state, config):
+    """One step with every array built afresh and the sink on all cells:
+    the reference for pde.step's laid-out arrays."""
+    j = state.j + 1
+    diag = j + np.arange(config.n_full) + 4.0 / config.d_eta**2
+    s_j = j * config.ds
+    density = state.phi_grid + state.w if config.model == pde.FULL else state.phi_grid
+    b = state.src + j * state.w
+    b[1:] -= 2.0 * s_j**2 * state.p[1:] * density[1:]
+    b[0] = b[1]
+    state.w = w = pde._solve_tridiagonal(diag, state.lower, state.upper, b)
+    state.j = j
+    N = config.N
+    u_star = config.params.u_star
+    p = np.zeros_like(state.p)
+    if config.model == pde.SIMPLIFIED:
+        p_src = 1.0 if w[N] >= u_star - state.phi_grid[N] else 0.0
+    else:
+        above = np.nonzero(w[N:] > u_star - state.phi_grid[N:])[0]
+        frontier = N + int(above.max()) if len(above) else -1
+        recede = (state.I_max * (j - 1)) // j if state.I_max >= 0 else -1
+        state.I_max = max(frontier, recede)
+        p_src = 1.0 if state.I_max >= N else 0.0
+        if state.I_max >= N:
+            p[N : state.I_max + 1] = 1.0
+    state.p_source_hist[j] = p_src
+    state.P_running += p_src
+    state.P_hist[j] = state.P_running
+    if config.model == pde.SIMPLIFIED:
+        p[N] = p_src
+    i_arr = np.arange(N)
+    lo = pde.backward_index(i_arr, j, N)
+    if j <= N:
+        p[:N] = state.p_source_hist[lo]
+    else:
+        hi = pde.backward_index(i_arr + 1, j, N)
+        p[:N] = (N / j) * (state.P_hist[hi] - state.P_hist[lo])
+    state.p = p
+
+
+@pytest.mark.parametrize("alpha, u_star, n_cells, model, ds, s_max", [
+    (1.0, 0.2, 32, pde.SIMPLIFIED, 5e-3, 1.0), (1.0, 0.2, 32, pde.FULL, 5e-3, 1.0),
+    # 4/d_eta^2 = 487.04 is not an integer; from step 1466 on, adding j to a
+    # laid-out i + 4/d_eta^2 rounds twice and leaves (j + i) + 4/d_eta^2
+    (1.45, 0.2, 16, pde.FULL, 1e-2, 20.0),
+])
+def test_run_matches_the_reference_march(alpha, u_star, n_cells, model, ds, s_max):
+    # the relay toggles are threshold decisions, so only bit-for-bit equality counts
+    cfg = pde.PdeConfig(ModelParams(alpha, 1.0, u_star), N=n_cells, ds=ds, s_max=s_max,
+                        model=model)
+    result = pde.run(cfg)
+    state = pde.init(cfg)
+    cadence = max(1, int(np.ceil(cfg.s_max / (100.0 * cfg.ds))))
+    rows, snapshots, widest = [], [], -1
+    for _ in range(cfg.n_steps):
+        _reference_step(state, cfg)
+        widest = max(widest, state.I_max)
+        s = state.j * cfg.ds
+        rows.append((s, np.max(np.abs(state.w)), state.w[cfg.N], state.p[cfg.N]))
+        if state.j % cadence == 0:
+            snapshots.append((s, state.w, state.p))
+    assert cfg.n_steps > cfg.N  # both the lookup and the running sum ran
+    if model == pde.FULL:
+        assert widest > cfg.N  # the sink reached past the source line
+    for got, want in zip((result.s, result.sup_w, result.trace_w, result.trace_p), zip(*rows)):
+        assert np.array_equal(got, np.array(want))
+    for name in ("w", "p", "P_hist", "p_source_hist"):
+        assert np.array_equal(getattr(result.state, name), getattr(state, name))
+    assert result.state.I_max == state.I_max
+    assert len(result.snapshots) == len(snapshots)
+    for got, want in zip(result.snapshots, snapshots):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_solve_leaves_its_inputs_unchanged(params02):
+    # the diagonal is a view into state.diag_table, so a solve that wrote
+    # into its inputs would corrupt every later step
+    cfg = pde.PdeConfig(params02, N=32, ds=5e-3, s_max=1.0, model=pde.FULL)
+    state = pde.init(cfg)
+    for _ in range(40):
+        pde.step(state, cfg)
+    table = state.diag_table.copy()
+    system = pde.assemble_system(state, cfg)
+    before = [a.copy() for a in system]
+    pde._solve_tridiagonal(*system)
+    assert all(np.array_equal(a, b) for a, b in zip(system, before))
+    assert np.array_equal(state.diag_table, table)

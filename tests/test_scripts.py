@@ -26,6 +26,10 @@ def test_pattern_study_writes_both_csvs(tmp_path, monkeypatch, capsys):
 def test_pde_convergence_one_level(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["pde_convergence.py", "--levels", "1"])
     runpy.run_path(str(SCRIPTS / "pde_convergence.py"), run_name="__main__")
-    errors = re.findall(r"onset error (\S+)", capsys.readouterr().out)
+    out = capsys.readouterr().out
+    errors = re.findall(r"onset error (\S+)", out)
     assert len(errors) == 1
     assert math.isfinite(float(errors[0]))
+    per_step = re.findall(r"\(([0-9.]+) us per step\)", out)
+    assert len(per_step) == 1
+    assert float(per_step[0]) > 0
