@@ -2,9 +2,11 @@
 
 Starting from a power-law template K* (default theta^2 sqrt(1-theta)), the
 template's band solution omega* has zeros x1 < x2 with omega*'(x2) > 0.
-The construction shifts the end of the first gap to x2 + eps, inserts a
-monotone C^1 bridge omega_eps on [x2 - eps, x2 + 2 eps] whose value and
-slope vanish at x2 + eps, and reads a new kernel off the bridge through
+The construction shifts the end of the first gap to x2 + eps and bridges
+it with omega_eps on [x2 - eps, x2 + 2 eps]: one monotone cubic Hermite
+piece on [x2 - eps, x2 + eps] whose value and slope vanish at x2 + eps
+(refused iff omega*'(x2 - eps) > 3 |omega*(x2 - eps)| / (2 eps)), then the
+right branch.  It reads a new kernel off the bridge through
 
     K_eps(theta) = omega_eps'(x1/theta)/x1 - 2 theta (omega_eps(x1/theta) - Gamma)/x1^2
 
@@ -14,7 +16,9 @@ after which the assembled kernel K_hat reproduces x1 and x2 + eps as its
 first two zeros while neither sign hypothesis continues the solution past
 x2 + eps: the positive candidate equals -(1/2) x^2 int_{(x2+eps)/x}^1 K*,
 which is negative, and the negative candidate equals omega_eps itself,
-which is positive.
+which is positive.  K_hat's kinks (theta_breaks) are the head seams r*/2
+and r*, the gluing point r, and the images x1/(x2 - eps) and x1/(x2 + eps)
+of the cubic's ends, the second a sqrt cusp.
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ class GapBridge:
     left: Callable  # omega* and its slope, left of x2 - eps
     left_slope: Callable
     middle: CubicHermiteSpline
-    middle_slope: Callable
     right: Callable  # (1/2) x^2 int_{(x2+eps)/x}^1 K*, from x2 + eps on
 
     def _pieces(self, x):
@@ -100,17 +103,20 @@ class GapBridge:
             ratio = z / xr
             return xr * t.cum(ratio, 1.0) + 0.5 * z * t.eval(ratio)
 
-        return np.piecewise(x, self._pieces(x), [self.left_slope, self.middle_slope, right])
+        return np.piecewise(
+            x, self._pieces(x), [self.left_slope, lambda xm: self.middle(xm, 1), right]
+        )
 
 
 def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> GapBridge:
     """Monotone C^1 filler of the shifted first gap.
 
-    Five-node cubic Hermite on [x2 - eps, x2 + eps] with end data matched to
-    the template on the left and to the zero-value, zero-slope state on the
-    right; node values and slopes are sampled from a monotone quintic ramp
-    and Fritsch-Carlson limited, so the filler is increasing and below
-    Gamma by construction.
+    One cubic Hermite piece on [x2 - eps, x2 + eps] from the template's value
+    v0 < 0 and slope s0 > 0 at x2 - eps to value and slope 0 at x2 + eps.
+    By the Fritsch-Carlson test on one interval it is increasing, and so
+    below Gamma, iff s0 <= 3 (-v0)/(2 eps); it is refused otherwise.  It
+    meets zero to second order: a higher-order contact would widen the
+    round-off plateau in which the tangential zero at x2 + eps is found.
     """
     if epsilon <= 0 or epsilon >= x2 / 2.0:
         raise InvalidParameter("epsilon must lie in (0, x2/2)")
@@ -126,36 +132,10 @@ def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> 
     s0 = slope_star(x_l)
     if v0 >= 0:
         raise BridgeInfeasible("left bridge value is not negative")
-    # monotone quintic ramp: slope phi(t) = s0 (1-t)^2 + c t^2 (1-t)^2 on
-    # t in [0,1] integrates to |v0| over the bridge, fixing c
-    c = 30.0 * (-v0 / (2.0 * epsilon) - s0 / 3.0)
-    if c < 0:
+    # the secant less a third of s0: negative iff s0 > 3 (-v0)/(2 eps)
+    if -v0 / (2.0 * epsilon) - s0 / 3.0 < 0:
         raise BridgeInfeasible("bridge slope budget is negative at this epsilon")
-
-    def phi(t):
-        return s0 * (1.0 - t) ** 2 + c * t * t * (1.0 - t) ** 2
-
-    def ramp(t):
-        # int_0^t phi, closed form
-        poly_s0 = s0 * (t - t * t + t**3 / 3.0)
-        poly_c = c * (t**3 / 3.0 - t**4 / 2.0 + t**5 / 5.0)
-        return poly_s0 + poly_c
-
-    t_nodes = np.linspace(0.0, 1.0, 5)
-    x_nodes = x_l + 2.0 * epsilon * t_nodes
-    values = v0 + 2.0 * epsilon * ramp(t_nodes)
-    slopes = phi(t_nodes)
-    slopes[0] = s0
-    slopes[-1] = 0.0
-    # phi > 0 on [0, 1), so the values increase: each quarter adds at least
-    # 2 eps s0/192.  Fritsch-Carlson needs every slope at most 3 times its
-    # neighbouring secants; the ends already meet it, as 3 deltas[0] =
-    # 12 ramp(1/4) >= 2.31 s0 and slopes[-1] = 0
-    deltas = np.diff(values) / np.diff(x_nodes)
-    for i in range(1, 4):
-        slopes[i] = min(slopes[i], 3.0 * min(deltas[i - 1], deltas[i]))
-    middle = CubicHermiteSpline(x_nodes, values, slopes)
-    middle_slope = middle.derivative()
+    middle = CubicHermiteSpline([x_l, x2 + epsilon], [v0, 0.0], [s0, 0.0])
 
     # z_eps: level Gamma/2 on the right branch if reached, else x2 + 2 eps
     def right(x):
@@ -171,7 +151,7 @@ def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> 
         z_eps = z_hi
 
     bridge = GapBridge(template, x1, x2, epsilon, float(z_eps), value_star, slope_star,
-                       middle, middle_slope, right)
+                       middle, right)
     # conditions: increasing and below Gamma across the modified interval
     vals = bridge.value(np.linspace(x_l, x2 + 2.0 * epsilon, 65))
     if np.any(np.diff(vals) <= 0):
@@ -216,9 +196,7 @@ def kernel_from_bridge(bridge: GapBridge) -> PartialKernel:
         raise BridgeInfeasible("K_eps non-positive on its domain")
 
     int_k = anti(1.0) - anti(r)
-    breaks = sorted(
-        {r, x1 / (x2 + eps), x1 / x2, x1 / (x2 - eps), x1 / (x2 - eps / 2.0)}
-    )
+    breaks = sorted({r, x1 / (x2 + eps), x1 / (x2 - eps)})
     int_g, err = integrate.quad(
         g_eps, r, 1.0, points=[b for b in breaks if r < b < 1.0],
         epsabs=0.0, epsrel=1e-11, limit=400,
@@ -365,11 +343,9 @@ def fill_head(partial: PartialKernel) -> DegenerateConstruction:
         k_coeff=template.k_coeff,
         label=f"degenerate(eps={eps:.6g})",
     )
-    # non-smooth points: spline-head seams, the gluing point r, the images of
-    # the bridge nodes, and the sqrt cusp at x1/(x2 + eps)
-    breaks = {r_star / 2.0, r_star, float(r)}
-    for k in range(5):
-        breaks.add(x1 / (x2 - eps + k * eps / 2.0))
+    # non-smooth points: spline-head seams, the gluing point r, and the
+    # images of the bridge's ends (x1/(x2 + eps) is a sqrt cusp)
+    breaks = {r_star / 2.0, r_star, float(r), x1 / (x2 - eps), x1 / (x2 + eps)}
     return DegenerateConstruction(
         template=template,
         x1=x1,

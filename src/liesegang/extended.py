@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, PicardStall, SingularPanel
+from .errors import InvalidParameter, PicardStall, SingularPanel, require_positive
 from .kernel import Kernel
 from .rings import Classification, RingPattern
 from .specfun import pointwise
@@ -236,9 +236,8 @@ def _relay_grid(kern: Kernel, mollifiers, b: float, h: float) -> _RelayGrid:
         raise InvalidParameter(f"epsilon {float(eps)!r} must be below Gamma = {float(gamma)!r} "
                                "by more than rounding, or the relay has no first band")
     mass = float(kern.cum(0.0, 1.0))
+    require_positive(kernel_mass=mass)
     x0 = min(np.sqrt((gamma - level) / mass), b)
-    if any(m.ramp_slope(gamma - x0 * x0 * mass)[0] != 1.0 for m in mollifiers):
-        raise InvalidParameter(f"the ramp is not saturated at the first band's end x0 = {x0:.6g}")
     if not x0 <= MAX_NODES * h:
         raise InvalidParameter(f"the first band [0, {x0:.6g}] needs over {MAX_NODES} steps of h")
     nodes, q = _geometric_nodes(x0, b, h)

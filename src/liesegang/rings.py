@@ -279,9 +279,12 @@ def solve_pattern(
     when a band width falls below min_width or, past a crossing, below the
     scan's resolution (x* extrapolated from five zeros up), and with
     Truncated when max_zeros or the horizon is exhausted first.  Raises
-    InvalidParameter unless the horizon is at least x1/200.
+    InvalidParameter unless int_0^1 K is positive and finite and the
+    horizon is at least x1/200.
     """
-    x1_scale = float(np.sqrt(kern.gamma_const / kern.cum(0.0, 1.0)))
+    mass = float(kern.cum(0.0, 1.0))
+    require_positive(kernel_mass=mass)
+    x1_scale = float(np.sqrt(kern.gamma_const / mass))
     scan_step = x1_scale / 200.0
     root_tol = 1e-12 * x1_scale
     min_width = 1e-9 * x1_scale if min_width is None else min_width

@@ -238,12 +238,12 @@ def test_degenerate_roundtrip(tmp_path, sigma):
 
 def test_touch_is_scanned_past(monkeypatch):
     # the former export clustered 44 geometric nodes on each side of each
-    # theta_breaks entry; rebuilt from those nodes at sigma 0.462021, the
+    # theta_breaks entry; rebuilt from those nodes at sigma 0.52, the
     # kernel's omega first meets zero just short of x2 + eps and turns back
     # (only the untoggled candidate holds), so that zero is dropped and the
     # scan resumes past the probe to the breakdown itself.  The head's
     # incomplete-Beta masses keep cumK non-decreasing at those nodes
-    sigma = 0.462021
+    sigma = 0.52
     cons = dg.construct_degenerate(synthetic_kernel(sigma, 1.0))
     spacing = np.pi / (2.0 * 2048)
     cluster = [
@@ -665,6 +665,19 @@ def test_kernel_file_blank_lines_are_skipped(tmp_path):
     probe = np.linspace(0.0, 1.0, 101)
     assert np.array_equal(load_kernel_file(str(blank)).eval(probe),
                           load_kernel_file(str(plain)).eval(probe))
+
+
+@pytest.mark.parametrize("command", [["rings"], ["extended"], ["extended", "--mode", "regular"]])
+def test_kernel_file_of_zero_mass_exits_two(tmp_path, capsys, command):
+    # K = cumK = 0 passes kernel_from_samples; x1 = sqrt(Gamma / int K) and
+    # the relay's first band refuse the mass by name instead of dividing by it
+    thetas = np.linspace(0.0, 1.0, 200)
+    path = tmp_path / "k.csv"
+    write_kernel_file(path, thetas, np.zeros_like(thetas), np.zeros_like(thetas))
+    err = assert_input_error(
+        [*command, "--kernel", f"file:{path}", "--out", str(tmp_path / "o.csv")], capsys
+    )
+    assert "kernel_mass must be positive and finite, got 0.0" in err
 
 
 @pytest.mark.parametrize("key", ["sigma", "k_coeff", "gamma"])

@@ -76,6 +76,20 @@ def test_bridge_boundary_data(bridge):
     assert bridge.slope(x_break) == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("sigma", [0.3, 0.5])
+def test_bridge_meets_zero_to_second_order(sigma):
+    # the cubic piece has value and slope 0 at x_b = x2 + eps, so halving the
+    # distance to x_b quarters its value; a quintic ramp (zero second
+    # derivative there too) would give 1/8 and a wider round-off plateau
+    # around the tangential zero
+    template = synthetic_kernel(sigma, 1.0)
+    bridge = dg.choose_epsilon(template, *dg.template_zeros(template)).bridge
+    x_b = bridge.x2 + bridge.epsilon
+    h = bridge.epsilon * 2.0 ** -np.arange(8.0, 17.0)
+    ratios = bridge.value(x_b - h) / bridge.value(x_b - 2.0 * h)
+    assert ratios == pytest.approx(0.25, rel=0.01)
+
+
 def test_bridge_monotone_and_below_gamma(template, bridge):
     xs = np.linspace(bridge.x2 - bridge.epsilon, bridge.x2 + 2 * bridge.epsilon, 64)
     vals = np.array([bridge.value(x) for x in xs])
@@ -179,7 +193,7 @@ def test_int_k_eps_telescoped(template, bridge, partial):
     # telescoped closed form against direct quadrature
     val, _ = integrate.quad(
         partial.eval, partial.r, 1.0,
-        points=[bridge.x1 / (bridge.x2 + bridge.epsilon), bridge.x1 / bridge.x2,
+        points=[bridge.x1 / (bridge.x2 + bridge.epsilon),
                 bridge.x1 / (bridge.x2 - bridge.epsilon)],
         epsabs=0.0, epsrel=1e-11, limit=400,
     )

@@ -346,8 +346,7 @@ def test_ramp_work_is_pinned(synthetic, synthetic_pattern, monkeypatch):
     zone = int(np.count_nonzero(~saturated))
     assert 0 < zone < len(om)
     assert fraction == zone / len(om)
-    # one more call: _relay_grid checks the ramp at x0
-    assert len(calls) - 1 == pytest.approx(mean * zone, abs=1e-6)
+    assert len(calls) == pytest.approx(mean * zone, abs=1e-6)
     assert 1 <= mean <= most <= 3
 
 
@@ -529,13 +528,13 @@ def test_march_needs_a_mollifier(synthetic):
         extended.mollified_solve(synthetic, [], 1.0, 1e-3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_kernel_of_infinite_mass_is_refused(synthetic):
-    # with int K infinite, x0 = 0 and omega(x0) = Gamma - 0 inf is NaN,
-    # which the ramp check refuses before any node is marched
-    infinite = dataclasses.replace(synthetic, cum=lambda a, b: math.inf)
-    with pytest.raises(InvalidParameter, match="ramp is not saturated"):
-        extended.mollified_solve(infinite, [extended.Mollifier(1e-2)], 1.0, 1e-3)
+@pytest.mark.parametrize("mass", [math.inf, 0.0, math.nan])
+def test_kernel_of_improper_mass_is_refused(synthetic, mass):
+    # x0 = sqrt((Gamma - level)/int K) needs a positive, finite mass; any
+    # other is refused by name before any node is laid out
+    improper = dataclasses.replace(synthetic, cum=lambda a, b: mass)
+    with pytest.raises(InvalidParameter, match="kernel_mass must be positive and finite"):
+        extended.mollified_solve(improper, [extended.Mollifier(1e-2)], 1.0, 1e-3)
 
 
 def test_newton_falls_back_to_bisection(synthetic, synthetic_pattern, monkeypatch):
