@@ -1,0 +1,74 @@
+"""SHA-256 of every CSV the benchmark's CLI invocations write.
+
+Usage: python scripts/cli_digest.py [--only NAME[,NAME...]]
+
+Runs the eight invocations of the cli_roundtrip benchmark workload, with
+the inputs that workload draws from seed 107, and `extended` in its default
+mollified mode (the workload runs only --mode regular), all in this process
+through liesegang.cli.dispatch, in a temporary directory.  Prints
+`sha256  name` per CSV to stdout, in run order; the commands' status lines
+go to stderr.  --only keeps the invocations whose CSV stem is named
+(profile, kernel, rings, degenerate, rings_file, extended,
+extended_mollified, pde, compare); rings_file reads degenerate.csv, so it
+needs degenerate with it.  Run it at two commits and diff the outputs to
+check that a change leaves every CSV byte-identical.  Exits 1 if an
+invocation exits nonzero, after printing the rest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from liesegang import cli  # noqa: E402
+from workloads import CliRoundtrip  # noqa: E402
+
+SEED = 107
+
+
+def invocations(workdir: Path) -> list[list[str]]:
+    """The workload's argument lists, then extended in mollified mode."""
+    argvs = [argv for _, argv in CliRoundtrip(SEED, workdir).round]
+    regular = next(a for a in argvs if a[0] == "extended")
+    sigma = regular[regular.index("--sigma") + 1]
+    argvs.append(["extended", "--sigma", sigma, "--out", "extended_mollified.csv"])
+    return argvs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", help="comma-separated CSV stems")
+    args = parser.parse_args(argv)
+    failed, home = False, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the file: kernel's path is written relative, as the workload has it
+        try:
+            calls = invocations(Path(tmp))
+            stems = {Path(call[-1]).stem for call in calls}
+            keep = stems if args.only is None else set(args.only.split(","))
+            if not keep <= stems:
+                parser.error(f"unknown --only names: {', '.join(sorted(keep - stems))}")
+            for call in calls:
+                name = call[-1]
+                if Path(name).stem not in keep:
+                    continue
+                code = cli.dispatch(call)
+                if code != 0:
+                    print(f"exit {code}  {name}", file=sys.stderr)
+                    failed = True
+                    continue
+                print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
+        finally:
+            os.chdir(home)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,11 +23,14 @@ a table over the offset m, made with one prefix or eval call (Hairer, Lubich
 & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985; Vainikko, Numer. Funct.
 Anal. Optim. 30, 2009).  The history sums are marched in blocks of nodes,
 one correlation per block (_causal_march), and each certificate is one
-discrete convolution.
+discrete convolution.  The per-node work of both marches is Python-float
+arithmetic on lists laid out once per march, with np.exp for the ramp's
+exponentials, so each value is bitwise the one numpy's array operations give.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -41,7 +44,6 @@ from .specfun import pointwise
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 _GL4_S = 0.5 * (1.0 + _GL4_X)  # the 4-point nodes as fractions of their panel
 _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
-_ZERO = np.float64(0.0)  # 0/0 at a NaN argument gives NaN, as the array path does
 MAX_NODES = 10**6  # grid nodes or panels of one march, checked before allocating
 _THETA_FLOOR = 1e-6  # the first band's certificate panels are graded down to here
 _BLOCK = 16  # nodes per block of the causal march; 32 times the same, 64 is slower
@@ -169,13 +171,15 @@ class Mollifier:
             raise InvalidParameter("mollifier epsilon must be positive and finite")
 
     def ramp_slope(self, z: float):
-        """The ramp and its derivative at one point.  np.exp, not math.exp,
-        so that the value is bitwise the one numpy's array exp gives."""
-        t = min(max((z + self.epsilon) / (2.0 * self.epsilon), 0.0), 1.0)
-        f = np.exp(-1.0 / t) if t > 0.0 else _ZERO
-        g = np.exp(-1.0 / (1.0 - t)) if t < 1.0 else _ZERO
-        r = float(f / (f + g))
-        if not 0.0 < r < 1.0:  # flat, and 1/t^2 or 1/(1-t)^2 may be infinite
+        """The ramp and its derivative at one point, in Python floats.  The
+        exponentials are np.exp, not math.exp, so that the value is bitwise
+        the one numpy's array exp gives."""
+        t = (z + self.epsilon) / (2.0 * self.epsilon)
+        if not 0.0 < t < 1.0:  # flat, or NaN as the array call's 0/0 gives
+            return (1.0 if t >= 1.0 else 0.0 if t <= 0.0 else math.nan), 0.0
+        f, g = float(np.exp(-1.0 / t)), float(np.exp(-1.0 / (1.0 - t)))
+        r = f / (f + g)
+        if not 0.0 < r < 1.0:  # rounds flat, and 1/t^2 or 1/u^2 may overflow
             return r, 0.0
         u = 1.0 - t
         return r, r * (1.0 - r) * (1.0 / (t * t) + 1.0 / (u * u)) / (2.0 * self.epsilon)
@@ -245,21 +249,23 @@ def _relay_grid(kern: Kernel, mollifiers, b: float, h: float) -> _RelayGrid:
     return _RelayGrid(np.concatenate([band, nodes]), len(band), q, mass)
 
 
-def _relay_level(moll: Mollifier, gamma: float, x2, band, c, omega):
+def _relay_level(moll: Mollifier, gamma: float, x2: list, band: list, c, omega):
     """March one level over the geometric nodes 1..n = len(c), writing
     omega[k-1] at node k (x2[k] = x_k^2; see mollified_solve); returns
     (fraction of the nodes in the ramp zone, max and mean Newton steps of a
     ramp-zone node)."""
     eps, c0, n = moll.epsilon, float(c[0]) if len(c) else 0.0, len(c)
+    ramp = moll.ramp_slope
     phi_prev = 1.0  # the first band ends with the ramp saturated
     zone = most = total = 0
+    values = []
 
     def node(k, s):
         """omega at node k from its history s; returns the newest panel's
         trapezoid mean of phi = H_eps(omega)."""
         nonlocal phi_prev, zone, most, total
-        xk2 = x2.item(k)
-        known = gamma - xk2 * (band.item(k - 1) + s)
+        xk2 = x2[k]
+        known = gamma - xk2 * (band[k - 1] + s)
         c_last = xk2 * c0
         om = known - phi_prev * c_last
         if (om >= eps and phi_prev == 1.0) or (om <= -eps and phi_prev == 0.0):
@@ -269,7 +275,7 @@ def _relay_level(moll: Mollifier, gamma: float, x2, band, c, omega):
             a = known - half * phi_prev
             lo, hi = a - half, a
             for it in range(1, 61):
-                phi, slope = moll.ramp_slope(om)
+                phi, slope = ramp(om)
                 f = om + half * phi - a
                 if f > 0.0:
                     hi = om
@@ -284,12 +290,13 @@ def _relay_level(moll: Mollifier, gamma: float, x2, band, c, omega):
             else:
                 raise PicardStall(f"node {k} did not converge (h too large for epsilon?)")
             zone, most, total = zone + 1, max(most, it), total + it
-        omega[k - 1] = om
+        values.append(om)
         mean = 0.5 * (phi_prev + phi)
         phi_prev = phi
         return mean
 
     _causal_march(c, node)
+    omega[:] = values
     return zone / max(n, 1), most, total / max(zone, 1)
 
 
@@ -322,7 +329,7 @@ def mollified_solve(kern: Kernel, mollifiers, b: float, h: float, stats=None):
     omegas = np.empty((len(mollifiers), len(layout.grid)))
     omegas[:, : layout.first + 1] = gamma - layout.grid[: layout.first + 1] ** 2 * layout.mass
     c, band = _mass_table(kern, layout.q, n)
-    x2 = x * x
+    x2, band = (x * x).tolist(), band.tolist()
     for omega, moll in zip(omegas[:, layout.first + 1 :], mollifiers):
         row = _relay_level(moll, gamma, x2, band, c, omega)
         if stats is not None:
@@ -423,9 +430,10 @@ def regular_extension_solve(
     # one row per ring, summed in ring order, as np.cumsum does (np.sum
     # would pair the terms)
     hist = x2 * np.cumsum(kern.cum(ring_lo[:, None] / x, ring_hi[:, None] / x), axis=0)[-1]
-    rho = _causal_march(
-        c, lambda j, s: (gamma - hist.item(j - 1) - x2.item(j - 1) * s) / (x2.item(j - 1) * c0)
-    )
+    # the step's operands as lists, each rounded as in the left-to-right
+    # (gamma - hist - x2 s) / (x2 c0)
+    known, x2_list, diag = (gamma - hist).tolist(), x2.tolist(), (x2 * c0).tolist()
+    rho = _causal_march(c, lambda j, s: (known[j - 1] - x2_list[j - 1] * s) / diag[j - 1])
 
     # independent residual: rho is piecewise constant between known
     # discontinuities (ring boundaries, then panel edges), so integrate

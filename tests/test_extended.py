@@ -80,18 +80,54 @@ def test_joint_march_rows_equal_single_marches(synthetic):
         assert np.array_equal(single[0], row)
 
 
+_ZERO = np.float64(0.0)  # 0/0 at a NaN argument gives NaN, as the array call does
+
+
+def _reference_ramp_slope(moll, z):
+    """Mollifier.ramp_slope as it was written in numpy scalars: t clamped to
+    [0, 1] by min(max()), and the ratio taken in np.float64."""
+    t = min(max((z + moll.epsilon) / (2.0 * moll.epsilon), 0.0), 1.0)
+    f = np.exp(-1.0 / t) if t > 0.0 else _ZERO
+    g = np.exp(-1.0 / (1.0 - t)) if t < 1.0 else _ZERO
+    r = float(f / (f + g))
+    if not 0.0 < r < 1.0:  # flat, and 1/t^2 or 1/(1-t)^2 may be infinite
+        return r, 0.0
+    u = 1.0 - t
+    return r, r * (1.0 - r) * (1.0 / (t * t) + 1.0 / (u * u)) / (2.0 * moll.epsilon)
+
+
 @pytest.mark.parametrize("eps", [1.6e-2, 8e-3, 4e-3, 0.3])
 def test_ramp_matches_array_call_bitwise(eps):
     moll = extended.Mollifier(eps)
-    zs = np.concatenate([np.linspace(-2 * eps, 2 * eps, 4001), [eps, -eps, 0.0]])
-    scalar = np.array([moll.ramp_slope(z)[0] for z in zs])
-    assert np.array_equal(scalar, moll(zs))
-    # the same closed form through numpy's array exp, the march's reference
-    t = np.clip((zs + eps) / (2.0 * eps), 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        f = np.where(t > 0.0, np.exp(-1.0 / t), 0.0)
-        g = np.where(t < 1.0, np.exp(-1.0 / (1.0 - t)), 0.0)
-    assert np.array_equal(scalar, f / (f + g))
+    # beside the ramp: the flat sides, their edges +-eps, NaN and +-inf, and
+    # t = (z + eps)/(2 eps) or 1 - t within (0, 1/745), where one
+    # exponential underflows to 0
+    tiny = 2.0 * eps * np.array([1e-10, 1e-4, 1.0 / 746.0])
+    edges = [np.nextafter(-eps, 0.0), *(tiny - eps), *(eps - tiny)]
+    t_edges = (np.array(edges) + eps) / (2.0 * eps)
+    assert np.all((np.minimum(t_edges, 1.0 - t_edges) > 0.0) & (t_edges < 1.0))
+    assert np.all(np.minimum(t_edges, 1.0 - t_edges) < 1.0 / 745.0)
+    zs = np.concatenate([
+        np.linspace(-2 * eps, 2 * eps, 4001), [eps, -eps, 0.0, np.nan, np.inf, -np.inf], edges,
+    ])
+    pairs = [moll.ramp_slope(z) for z in zs.tolist()]  # Python floats, as the march's
+    scalar, slope = np.array(pairs).T
+    with np.errstate(invalid="ignore"):  # 0/0 at NaN
+        assert np.array_equal(scalar, moll(zs), equal_nan=True)
+        # the same closed form through numpy's array exp, the march's reference
+        t = np.clip((zs + eps) / (2.0 * eps), 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            f = np.where(t > 0.0, np.exp(-1.0 / t), 0.0)
+            g = np.where(t < 1.0, np.exp(-1.0 / (1.0 - t)), 0.0)
+        assert np.array_equal(scalar, f / (f + g), equal_nan=True)
+        # value and slope bitwise those of the numpy-scalar form
+        reference = [_reference_ramp_slope(moll, z) for z in zs.tolist()]
+        assert np.array_equal(pairs, reference, equal_nan=True)
+    flat = ~((scalar > 0.0) & (scalar < 1.0))
+    assert np.count_nonzero(flat & np.isfinite(zs) & (np.abs(zs) < eps)) >= 7
+    assert np.all(slope[flat] == 0.0)
+    assert np.all(slope[~flat] > 0.0)
+    assert all(type(r) is float and type(d) is float for r, d in pairs)
 
 
 def test_eps_sequence_validation(synthetic):
@@ -304,6 +340,92 @@ def test_march_matches_the_picard_reference(sigma, scale):
     grid, omegas = extended.mollified_solve(kern, mollifiers, b, 1e-3)
     ref = _picard_march(kern, mollifiers, b, 1e-3)
     assert np.max(np.abs(omegas[:, len(grid) - ref.shape[1] :] - ref)) <= 2e-12
+
+
+def _reference_level(moll, gamma, x2, band, c, omega):
+    """_relay_level as it was written in numpy scalars: x2 and band read by
+    .item, omega written node by node, the ramp through
+    _reference_ramp_slope."""
+    x2, band = np.array(x2), np.array(band)
+    eps, c0, n = moll.epsilon, float(c[0]) if len(c) else 0.0, len(c)
+    phi_prev = 1.0
+    zone = most = total = 0
+
+    def node(k, s):
+        nonlocal phi_prev, zone, most, total
+        xk2 = x2.item(k)
+        known = gamma - xk2 * (band.item(k - 1) + s)
+        c_last = xk2 * c0
+        om = known - phi_prev * c_last
+        if (om >= eps and phi_prev == 1.0) or (om <= -eps and phi_prev == 0.0):
+            phi = phi_prev
+        else:
+            half = 0.5 * c_last
+            a = known - half * phi_prev
+            lo, hi = a - half, a
+            for it in range(1, 61):
+                phi, slope = _reference_ramp_slope(moll, om)
+                f = om + half * phi - a
+                if f > 0.0:
+                    hi = om
+                else:
+                    lo = om
+                step = f / (1.0 + half * slope)
+                if not lo <= om - step <= hi:
+                    step = om - 0.5 * (lo + hi)
+                if abs(step) < 1e-12:
+                    break
+                om -= step
+            else:
+                raise AssertionError(f"node {k} did not converge")
+            zone, most, total = zone + 1, max(most, it), total + it
+        omega[k - 1] = om
+        mean = 0.5 * (phi_prev + phi)
+        phi_prev = phi
+        return mean
+
+    extended._causal_march(c, node)
+    return zone / max(n, 1), most, total / max(zone, 1)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("sigma", [0.25, 0.4, 0.55])
+def test_marches_match_the_reference_marches(sigma, scale, monkeypatch):
+    # both marches against their numpy-scalar node work, bit for bit: the
+    # ramp zone's Newton steps are threshold decisions, so only equality
+    # counts
+    kern = kernel.synthetic_kernel(sigma, scale)
+    pattern = rings.solve_pattern(kern)
+    b, h = 1.5 * pattern.x_star, 1e-3
+    mollifiers = [extended.Mollifier(e) for e in (1.6e-2, 8e-3, 4e-3)]
+    stats, ref_stats = [], []
+    grid, omegas = extended.mollified_solve(kern, mollifiers, b, h, stats)
+    reg = extended.regular_extension_solve(kern, pattern, b, h)
+
+    # the regular step as it was: (gamma - hist - x2 s) / (x2 c0) in .item reads
+    edges, q = extended._geometric_nodes(pattern.x_star, b, h)
+    x = edges[1:]
+    c = extended._mass_table(kern, q, len(x))[0]
+    x2, c0, gamma = x * x, float(c[0]), kern.gamma_const
+    ring_lo, ring_hi = np.transpose(pattern.precipitated())
+    hist = x2 * np.cumsum(kern.cum(ring_lo[:, None] / x, ring_hi[:, None] / x), axis=0)[-1]
+    march = extended._causal_march
+
+    def reference_march(c, step):
+        return march(
+            c, lambda j, s: (gamma - hist.item(j - 1) - x2.item(j - 1) * s) / (x2.item(j - 1) * c0)
+        )
+
+    monkeypatch.setattr(extended, "_relay_level", _reference_level)
+    ref_grid, ref_omegas = extended.mollified_solve(kern, mollifiers, b, h, ref_stats)
+    monkeypatch.setattr(extended, "_causal_march", reference_march)
+    ref = extended.regular_extension_solve(kern, pattern, b, h)
+    assert min(row[0] for row in stats) > 0.0  # every level has ramp-zone nodes
+    assert np.array_equal(grid, ref_grid)
+    assert np.array_equal(omegas, ref_omegas)
+    assert stats == ref_stats
+    assert np.array_equal(reg.rho, ref.rho)
+    assert np.array_equal(reg.residual_local, ref.residual_local)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
+import hashlib
 import math
 import re
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -33,3 +36,22 @@ def test_pde_convergence_one_level(monkeypatch, capsys):
     per_step = re.findall(r"\(([0-9.]+) us per step\)", out)
     assert len(per_step) == 1
     assert float(per_step[0]) > 0
+
+
+def test_cli_digest_hashes_what_the_cli_writes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on it
+    digest = runpy.run_path(str(SCRIPTS / "cli_digest.py"))
+    with pytest.raises(SystemExit, match="2"):
+        digest["main"](["--only", "rings,ring"])
+    assert "unknown --only names: ring" in capsys.readouterr().err
+    assert digest["main"](["--only", "rings,extended"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[1] for line in lines] == ["rings.csv", "extended.csv"]
+    # the same invocations, run here, write the bytes hashed
+    monkeypatch.chdir(tmp_path)
+    calls = {argv[-1]: argv for argv in digest["invocations"](tmp_path)}
+    assert len(calls) == 9 and "extended_mollified.csv" in calls
+    for line in lines:
+        sha, name = line.split("  ")
+        assert digest["cli"].dispatch(calls[name]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
