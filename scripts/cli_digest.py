@@ -3,16 +3,18 @@
 Usage: python scripts/cli_digest.py [--only NAME[,NAME...]]
 
 Runs the eight invocations of the cli_roundtrip benchmark workload, with
-the inputs that workload draws from seed 107, and `extended` in its default
-mollified mode (the workload runs only --mode regular), all in this process
-through liesegang.cli.dispatch, in a temporary directory.  Prints
-`sha256  name` per CSV to stdout, in run order; the commands' status lines
-go to stderr.  --only keeps the invocations whose CSV stem is named
-(profile, kernel, rings, degenerate, rings_file, extended,
-extended_mollified, pde, compare); rings_file reads degenerate.csv, so it
-needs degenerate with it.  Run it at two commits and diff the outputs to
-check that a change leaves every CSV byte-identical.  Exits 1 if an
-invocation exits nonzero, after printing the rest.
+the inputs that workload draws from seed 107, then `extended` in its default
+mollified mode (the workload runs only --mode regular) and `extended --mode
+regular` on the degenerate export, all in this process through
+liesegang.cli.dispatch, in a temporary directory.  Prints `sha256  name` per
+CSV to stdout, in run order; the commands' status lines go to stderr.
+--only keeps the invocations whose CSV stem is named (profile, kernel,
+rings, degenerate, rings_file, extended, extended_mollified, pde, compare,
+extended_degenerate); rings_file and extended_degenerate read
+degenerate.csv, so they need degenerate with them.  Run it at two commits
+and diff the outputs to check that a change leaves every CSV
+byte-identical.  Exits 1 if an invocation exits nonzero, after printing the
+rest.
 """
 
 from __future__ import annotations
@@ -34,11 +36,14 @@ SEED = 107
 
 
 def invocations(workdir: Path) -> list[list[str]]:
-    """The workload's argument lists, then extended in mollified mode."""
+    """The workload's argument lists, then extended in mollified mode and
+    in regular mode on the degenerate kernel."""
     argvs = [argv for _, argv in CliRoundtrip(SEED, workdir).round]
     regular = next(a for a in argvs if a[0] == "extended")
     sigma = regular[regular.index("--sigma") + 1]
     argvs.append(["extended", "--sigma", sigma, "--out", "extended_mollified.csv"])
+    argvs.append(["extended", "--mode", "regular", "--kernel", "file:degenerate.csv",
+                  "--out", "extended_degenerate.csv"])
     return argvs
 
 

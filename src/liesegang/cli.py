@@ -265,9 +265,9 @@ def cmd_extended(args) -> None:
         meta = {
             "command": "extended", "mode": "regular", "kernel": kern.label,
             "b": args.b, "h": args.h, "x_star": pattern.x_star,
-            "residual": reg.residual, "out_of_range": len(reg.out_of_range),
+            "residual": reg.residual,
         }
-        rows = zip(reg.grid, np.zeros_like(reg.grid), reg.rho, reg.residual_local)
+        rows = zip(reg.grid, reg.omega, reg.rho, reg.residual_local)
         emit_csv(args.out, meta, ["x", "omega", "rho", "residual_local"], rows)
         print(f"extended (regular): residual={reg.residual:.4g}", file=sys.stderr)
 

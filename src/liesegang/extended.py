@@ -7,14 +7,20 @@ An extended solution is a pair (omega, rho) with
 
 The solver replaces the Heaviside selection by a smooth ramp H_eps and
 marches the causal fixed point node by node (each omega(x) depends on
-[0, x] only); rho is extracted at the last mollification level and the
-defect of the unmollified equation is recomputed with an independent
-quadrature as the certificate.
+[0, x] only); rho is extracted at the last mollification level.
 
 The regular extension instead imposes omega = 0 past the breakdown point
 x* and solves the resulting first-kind problem for rho panel by panel; the
 newest panel's coefficient is the kernel mass of the (1/q)-to-1 window,
-which is positive but degenerates like (q - 1)^(1+sigma).
+which is positive but degenerates like (q - 1)^(1+sigma).  Where the
+division leaves [0, 1], rho is projected onto it and omega takes the sign
+the relay selects, the eps -> 0 limit of the mollified node: a gap of the
+generalized solution (omega < 0, rho = 0) opens there.
+
+One certificate serves both: _relay_integral recomputes the defect of the
+unmollified equation by Gauss rules on K's eval, never prefix.  The regular
+grid is continued below x* under the first ring's top, and rho there is
+the ring pattern's, with a jump at each ring edge inside a panel.
 
 Both march on geometric nodes x_k = x_0 q^k.  The integral is a Mellin
 convolution, so in theta = y/x_k panel i of node k is [q^-(m+1), q^-m] with
@@ -22,10 +28,11 @@ m = k - 1 - i: every kernel mass and every certificate quadrature weight is
 a table over the offset m, made with one prefix or eval call (Hairer, Lubich
 & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985; Vainikko, Numer. Funct.
 Anal. Optim. 30, 2009).  The history sums are marched in blocks of nodes,
-one correlation per block (_causal_march), and each certificate is one
-discrete convolution.  The per-node work of both marches is Python-float
-arithmetic on lists laid out once per march, with np.exp for the ramp's
-exponentials, so each value is bitwise the one numpy's array operations give.
+one correlation per block (_causal_march), and the certificate's panel sums
+are discrete convolutions.  The per-node work of both marches is
+Python-float arithmetic on lists laid out once per march, with np.exp for
+the ramp's exponentials, so each value is bitwise the one numpy's array
+operations give.
 """
 
 from __future__ import annotations
@@ -76,43 +83,21 @@ def _mass_table(kern: Kernel, q: float, n: int):
     return p[:-2] - p[1:-1], p[1:-1] - p[-1]
 
 
-def _panels(q: float, n: int, to_zero: bool = False):
+def _panels(q: float, n: int):
     """Lower edges and widths, in theta, of the certificate's panels below
     the end panel [1/q, 1]: panel m = 1..n is [q^-(m+1), q^-m].
 
-    With to_zero the panels go on to 0 through the first band, where rho = 1
-    and the panels need only be accurate: each is 1/16 of its distance to
-    theta = 1 wide in log theta (at least log q), down to _THETA_FLOOR, and
-    one more reaches 0.  Their number grows like log(1/(q - 1)), not 1/(q - 1).
+    Past them the panels go on to 0 through [0, x_0], where rho = 1 and the
+    panels need only be accurate: each is 1/16 of its distance to theta = 1
+    wide in log theta (at least log q), down to _THETA_FLOOR, and one more
+    reaches 0.  Their number grows like log(1/(q - 1)), not 1/(q - 1).
     """
     lo = q ** -np.arange(2.0, n + 2.0)
-    width = (q - 1.0) * lo
-    if to_zero:
-        u = [(n + 1.0) * np.log(q)]  # -log theta of the next edge down
-        while u[-1] < -np.log(_THETA_FLOOR):
-            u.append(u[-1] + max(np.log(q), u[-1] / 16.0))
-        edges = np.append(np.exp(-np.array(u)), 0.0)
-        lo = np.append(lo, edges[1:])
-        width = np.append(width, edges[:-1] - edges[1:])
-    return lo, width
-
-
-def _gauss_table(kern: Kernel, q: float, lo, width):
-    """Certificate weights on the panels [lo, lo + width], one eval call.
-
-    Row g, column j is panel j's 4-point Gauss weight times K at its node g,
-    which sits at the fixed fraction _GL4_S[g] of the panel.  The end panel
-    [1/q, 1] takes the 6-point rule in theta = 1 - t^2, where a sqrt-type
-    kernel tail is polynomial; its weights come with the nodes' fractions
-    (theta q - 1)/(q - 1) of the newest grid panel, for interpolating rho.
-    """
-    half_t = 0.5 * np.sqrt(1.0 - 1.0 / q)
-    t = half_t * (1.0 + _GL6_X)
-    theta_end = 1.0 - t * t
-    k = kern.eval(np.concatenate([theta_end, (lo + width * _GL4_S[:, None]).ravel()]))
-    end = half_t * _GL6_W * 2.0 * t * k[:6]
-    table = 0.5 * _GL4_W[:, None] * width * k[6:].reshape(4, len(lo))
-    return table, end, (theta_end * q - 1.0) / (q - 1.0)
+    u = [(n + 1.0) * np.log(q)]  # -log theta of the next edge down
+    while u[-1] < -np.log(_THETA_FLOOR):
+        u.append(u[-1] + max(np.log(q), u[-1] / 16.0))
+    edges = np.append(np.exp(-np.array(u)), 0.0)
+    return np.append(lo, edges[1:]), np.append((q - 1.0) * lo, edges[:-1] - edges[1:])
 
 
 def _convolve(a, b):
@@ -337,24 +322,39 @@ def mollified_solve(kern: Kernel, mollifiers, b: float, h: float, stats=None):
     return layout.grid, omegas
 
 
-def _relay_integral(kern: Kernel, layout: _RelayGrid, rho):
-    """int_0^1 K(theta) rho(x theta) dtheta at every node, rho interpolated
-    linearly: 4-point Gauss on each geometric panel and on panels through
-    the first band (where rho = 1) down to 0 (see _panels); the end panel
-    [1/q, 1] by the theta = 1 - t^2 rule.  Every weight depends on the panel
-    offset alone, so the panel sums are two convolutions and the first
-    band's part is a suffix sum.
+def _relay_integral(kern: Kernel, q: float, r_lo, r_hi, jumps=()):
+    """int_0^1 K(theta) rho(x_k theta) dtheta at the nodes x_k = x_0 q^k,
+    k = 0..n = len(r_lo), of a geometric grid with rho = 1 under x_0.
+
+    On panel k = [x_(k-1), x_k] rho runs linearly from r_lo[k-1] to
+    r_hi[k-1], less d below x_(k-1) + f (x_k - x_(k-1)) for each jump
+    (k, f, d).  4-point Gauss on the panels and on panels graded to 0 under
+    x_0 (_panels), and 6-point Gauss in theta = 1 - t^2, where a sqrt-type
+    tail is polynomial, on the end panel [1/q, 1], from one eval call; one
+    more per jump for 4-point Gauss on its piece.  The weights depend on the
+    offset alone, so the panel sums are two convolutions, the part under x_0
+    a suffix sum, and each jump a table over the offsets.
     """
-    r = rho[layout.first :]
-    n = len(r) - 1
-    table, end, frac = _gauss_table(kern, layout.q, *_panels(layout.q, n, to_zero=True))
+    n = len(r_lo)
+    lo, width = _panels(q, n)
+    half_t = 0.5 * np.sqrt(1.0 - 1.0 / q)
+    t = half_t * (1.0 + _GL6_X)
+    theta_end = 1.0 - t * t
+    k_val = kern.eval(np.concatenate([theta_end, (lo + width * _GL4_S[:, None]).ravel()]))
+    end = half_t * _GL6_W * 2.0 * t * k_val[:6]
+    frac = (theta_end * q - 1.0) / (q - 1.0)  # the end nodes' place in the newest panel
+    table = 0.5 * _GL4_W[:, None] * width * k_val[6:].reshape(4, len(lo))
     left, right = (1.0 - _GL4_S) @ table, _GL4_S @ table  # weights of rho at panel ends
     band = _suffix_sums(left + right)  # band[k - 1]: the panels m >= k, all with rho = 1
     end_lo, end_hi = float(np.sum(end * (1.0 - frac))), float(np.sum(end * frac))
-    total = np.full(len(rho), end_lo + end_hi + band[0])  # rho = 1 on the first band
-    total[layout.first + 1 :] = end_lo * r[:-1] + end_hi * r[1:] + band[:n]
-    total[layout.first + 2 :] += _convolve(r[: n - 1], left[: n - 1])
-    total[layout.first + 2 :] += _convolve(r[1:n], right[: n - 1])
+    total = np.full(n + 1, end_lo + end_hi + band[0])
+    total[1:] = end_lo * r_lo + end_hi * r_hi + band[:n]
+    total[2:] += _convolve(r_lo[: n - 1], left[: n - 1])
+    total[2:] += _convolve(r_hi[: n - 1], right[: n - 1])
+    edge = np.append(1.0 / q, lo)  # lower edges at offsets m = 0 (the end panel), 1, ...
+    for k, f, d in jumps:  # the piece at node k + m is [edge_m, edge_m + f (q - 1) edge_m]
+        at, piece = edge[: n + 1 - k], f * (q - 1.0) * edge[: n + 1 - k]
+        total[k:] -= d * 0.5 * piece * (_GL4_W @ kern.eval(at + piece * _GL4_S[:, None]))
     return total
 
 
@@ -376,7 +376,9 @@ def extended_solve(kern: Kernel, b: float, h: float, eps_sequence) -> ExtendedSo
     changes = [np.nan] + [float(np.max(np.abs(o2 - o1))) for o1, o2 in zip(omegas, omegas[1:])]
     omega = omegas[-1]
     rho = mollifiers[-1](omega)
-    integral = _relay_integral(kern, _relay_grid(kern, mollifiers, b, h), rho)
+    layout = _relay_grid(kern, mollifiers, b, h)
+    integral = _relay_integral(kern, layout.q, rho[layout.first : -1], rho[layout.first + 1 :])
+    integral = np.pad(integral, (layout.first, 0), "edge")  # rho = 1 on the first band
     local = np.abs(omega - kern.gamma_const + grid * grid * integral)
     return ExtendedSolution(
         grid=grid,
@@ -392,8 +394,9 @@ def extended_solve(kern: Kernel, b: float, h: float, eps_sequence) -> ExtendedSo
 @dataclass(frozen=True)
 class RegularExtension:
     grid: np.ndarray  # panel right edges in (x*, b]
+    omega: np.ndarray  # 0 where 0 < rho < 1; where rho is projected to 0 or 1, its sign
     rho: np.ndarray  # piecewise-constant rho per panel
-    residual: float  # worst defect of the first-kind equation, independent quadrature
+    residual: float  # worst |omega - Gamma + x^2 int K rho|, by _relay_integral
     residual_local: np.ndarray
     out_of_range: tuple  # panel indices where rho leaves [0, 1] by more than 1e-6
 
@@ -401,13 +404,16 @@ class RegularExtension:
 def regular_extension_solve(
     kern: Kernel, pattern: RingPattern, b: float, h: float
 ) -> RegularExtension:
-    """Impose omega = 0 on (x*, b] and solve the first-kind equation for rho.
+    """Impose omega = 0 on (x*, b] where rho can hold it, and solve the
+    first-kind equation for rho.
 
     Piecewise-constant rho per panel between edges x* q^j (steps at most h),
     marched by collocation at panel right edges: the newest panel
-    coefficient x_j^2 c_0 is positive, so each step is a scalar division.
-    The other panels' masses are x_j^2 c_(j-1-i) from one table, as in
-    mollified_solve.
+    coefficient c = x_j^2 c_0 is positive, so each step is a scalar
+    division rho = a/c.  Where a/c leaves (0, 1), rho is projected onto
+    [0, 1] and omega = a - c rho takes the sign the relay selects (the
+    eps -> 0 limit of the mollified node).  The other panels' masses are
+    x_j^2 c_(j-1-i) from one table, as in mollified_solve.
     """
     history = pattern.precipitated()
     if not history or pattern.classification not in (
@@ -426,6 +432,10 @@ def regular_extension_solve(
     x2, c0 = x * x, float(c[0])
     if x2[0] * c0 < 1e3 * np.finfo(float).eps * max(gamma, 1.0):
         raise SingularPanel(f"panel 1 coefficient {x2[0] * c0:.2e} too small")
+    below = int(np.log(x_star / history[0][1]) / np.log(q)) + 1  # certificate panels under x*
+    if below + n > MAX_NODES:
+        raise InvalidParameter(f"the certificate's grid under b = {b:.6g} needs "
+                               f"{below + n} panels, over {MAX_NODES}")
     ring_lo, ring_hi = np.transpose(history)
     # one row per ring, summed in ring order, as np.cumsum does (np.sum
     # would pair the terms)
@@ -433,30 +443,33 @@ def regular_extension_solve(
     # the step's operands as lists, each rounded as in the left-to-right
     # (gamma - hist - x2 s) / (x2 c0)
     known, x2_list, diag = (gamma - hist).tolist(), x2.tolist(), (x2 * c0).tolist()
-    rho = _causal_march(c, lambda j, s: (known[j - 1] - x2_list[j - 1] * s) / diag[j - 1])
+    omega = [0.0] * n
 
-    # independent residual: rho is piecewise constant between known
-    # discontinuities (ring boundaries, then panel edges), so integrate
-    # K(theta) piece by piece with Gauss rules on the exact partition; the
-    # rings' composite nodes are laid out once in y-space (sub-panels of at
-    # most 0.04 x*), the panels' through _gauss_table; precipitated() gives
-    # each ring with hi > lo
-    integral = np.zeros(n)
-    for lo, hi in history:
-        sub = np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / (0.04 * x_star)))) + 1)
-        half = 0.5 * (sub[1:] - sub[:-1])
-        mid = 0.5 * (sub[1:] + sub[:-1])
-        node_y = (mid[:, None] + half[:, None] * _GL4_X).ravel()
-        node_w = (half[:, None] * _GL4_W).ravel()
-        for y, w in zip(node_y, node_w):
-            integral += w * kern.eval(y / x)
-    integral /= x
-    table, end, _ = _gauss_table(kern, q, *_panels(q, n - 1))
-    integral += float(np.sum(end)) * rho
-    integral[1:] += _convolve(rho[:-1], table.sum(axis=0))
-    local = np.abs(gamma - x * x * integral)
+    def step(j, s):
+        a = known[j - 1] - x2_list[j - 1] * s
+        r = a / diag[j - 1]
+        if not 0.0 < r < 1.0:
+            r = min(max(r, 0.0), 1.0)
+            omega[j - 1] = a - diag[j - 1] * r
+        return r
+
+    rho = _causal_march(c, step)
+    omega = np.array(omega)
+
+    # the certificate's grid x* q^k goes on under the first ring's top; below
+    # x* rho is 1 in a ring, 0 in a gap, and a ring edge in panel k is a jump
+    # (k, f, +1 at a ring's bottom, at an even index, -1 at its top)
+    e = x_star * q ** np.arange(-below, 1.0)
+    ring_edges = np.ravel(history)
+    inner = np.nonzero((ring_edges > e[0]) & (ring_edges < x_star))[0]
+    k = np.searchsorted(e, ring_edges[inner], "right")
+    f = (ring_edges[inner] - e[k - 1]) / (e[k] - e[k - 1])
+    r = np.append(np.searchsorted(ring_edges, e[1:]) % 2.0, rho)  # rho at each panel's top
+    jumps = list(zip(k.tolist(), f.tolist(), (1.0 - 2.0 * (inner % 2)).tolist()))
+    integral = _relay_integral(kern, q, r, r, jumps)[below + 1 :]
+    local = np.abs(omega - gamma + x * x * integral)
     out = tuple(int(i) for i in np.nonzero((rho < -1e-6) | (rho > 1.0 + 1e-6))[0])
     return RegularExtension(
-        grid=x, rho=rho, residual=float(np.max(local)),
+        grid=x, omega=omega, rho=rho, residual=float(np.max(local)),
         residual_local=local, out_of_range=out,
     )

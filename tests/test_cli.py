@@ -201,6 +201,23 @@ def test_extended_csv(tmp_path, synthetic_pattern):
     assert all(1.0 <= m <= mx <= 3.0 for m, mx in zip(mean, most))
 
 
+def test_extended_regular_on_a_degenerate_export(tmp_path):
+    # past degenerate breakdown the projected step keeps rho in [0, 1]; the
+    # unprojected division wrote 352 negative rows and a residual of 2.5e-4
+    deg, out = tmp_path / "deg.csv", tmp_path / "ext.csv"
+    assert dispatch(["degenerate", "--sigma", "0.3", "--out", str(deg)]) == 0
+    assert dispatch([
+        "extended", "--mode", "regular", "--kernel", f"file:{deg}", "--b", "5", "--h", "1e-3",
+        "--out", str(out),
+    ]) == 0
+    meta, header, rows = read_rows(out)
+    assert header == ["x", "omega", "rho", "residual_local"] and "out_of_range" not in meta
+    omega, rho = (np.array([float(row[i]) for row in rows]) for i in (1, 2))
+    assert np.all((rho >= 0.0) & (rho <= 1.0))
+    assert np.any(omega < 0.0) and np.all(rho[omega < 0.0] == 0.0)
+    assert float(meta["residual"]) < 1e-5
+
+
 def test_pde_csv(tmp_path):
     out = tmp_path / "pde.csv"
     snap = tmp_path / "snap.csv"

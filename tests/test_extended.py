@@ -7,7 +7,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from liesegang import extended, kernel, rings
+from liesegang import degenerate, extended, kernel, rings
 from liesegang.errors import InvalidParameter, PicardStall, SingularPanel
 
 
@@ -211,6 +211,34 @@ def test_regular_extension_guards(synthetic, synthetic_pattern):
         )
 
 
+def test_regular_certificate_grid_is_capped(synthetic, synthetic_pattern, monkeypatch):
+    # three panels past x*, but over MAX_NODES from under the first ring's
+    # top to x*: refused by name before the march and the certificate
+    monkeypatch.setattr(extended, "_causal_march", None)
+    x_star = synthetic_pattern.x_star
+    h = 1e-7 * x_star
+    with pytest.raises(InvalidParameter, match="certificate's grid .* panels, over 1000000"):
+        extended.regular_extension_solve(synthetic, synthetic_pattern, x_star + 3.0 * h, h)
+
+
+@pytest.mark.parametrize("sigma, gap_from", [(0.3, 1.2829), (0.5, 1.7677)])
+def test_regular_extension_opens_a_gap_past_degenerate_breakdown(sigma, gap_from):
+    # on K_hat the division a/c leaves [0, 1] (down to rho = -0.075 and
+    # -0.246 unprojected); projected, rho = 0 and omega = a < 0 there
+    kern = degenerate.construct_degenerate(kernel.synthetic_kernel(sigma, 1.0)).result
+    pattern = rings.solve_pattern(kern)
+    assert pattern.classification is rings.Classification.DEGENERATE
+    reg = extended.regular_extension_solve(kern, pattern, 2.0 * pattern.x_star, 1e-3)
+    assert np.all((reg.rho >= 0.0) & (reg.rho <= 1.0))
+    assert reg.out_of_range == ()
+    gap = reg.omega < 0.0
+    first = int(np.argmax(gap))
+    assert gap[first] and np.all(reg.rho[gap] == 0.0) and np.all(reg.omega <= 0.0)
+    step = reg.grid[first] - reg.grid[first - 1]
+    assert abs(reg.grid[first] - gap_from * pattern.x_star) <= step
+    assert reg.residual < 1e-5
+
+
 def test_regular_extension_needs_breakdown(synthetic):
     truncated = rings.solve_pattern(synthetic, max_zeros=2)
     with pytest.raises(InvalidParameter):
@@ -402,7 +430,8 @@ def test_marches_match_the_reference_marches(sigma, scale, monkeypatch):
     grid, omegas = extended.mollified_solve(kern, mollifiers, b, h, stats)
     reg = extended.regular_extension_solve(kern, pattern, b, h)
 
-    # the regular step as it was: (gamma - hist - x2 s) / (x2 c0) in .item reads
+    # the regular step in .item reads: a = gamma - hist - x2 s over c = x2 c0,
+    # projected onto [0, 1], omega = a - c rho where it is
     edges, q = extended._geometric_nodes(pattern.x_star, b, h)
     x = edges[1:]
     c = extended._mass_table(kern, q, len(x))[0]
@@ -410,11 +439,18 @@ def test_marches_match_the_reference_marches(sigma, scale, monkeypatch):
     ring_lo, ring_hi = np.transpose(pattern.precipitated())
     hist = x2 * np.cumsum(kern.cum(ring_lo[:, None] / x, ring_hi[:, None] / x), axis=0)[-1]
     march = extended._causal_march
+    ref_omega = np.zeros(len(x))
+
+    def reference_step(j, s):
+        a, c = gamma - hist.item(j - 1) - x2.item(j - 1) * s, x2.item(j - 1) * c0
+        r = a / c
+        if not 0.0 < r < 1.0:
+            r = min(max(r, 0.0), 1.0)
+            ref_omega[j - 1] = a - c * r
+        return r
 
     def reference_march(c, step):
-        return march(
-            c, lambda j, s: (gamma - hist.item(j - 1) - x2.item(j - 1) * s) / (x2.item(j - 1) * c0)
-        )
+        return march(c, reference_step)
 
     monkeypatch.setattr(extended, "_relay_level", _reference_level)
     ref_grid, ref_omegas = extended.mollified_solve(kern, mollifiers, b, h, ref_stats)
@@ -425,6 +461,7 @@ def test_marches_match_the_reference_marches(sigma, scale, monkeypatch):
     assert np.array_equal(omegas, ref_omegas)
     assert stats == ref_stats
     assert np.array_equal(reg.rho, ref.rho)
+    assert np.array_equal(reg.omega, ref_omega)
     assert np.array_equal(reg.residual_local, ref.residual_local)
 
 
@@ -523,7 +560,7 @@ def test_relay_certificate_matches_per_node_gauss_loop(coarse):
     sol = extended.extended_solve(kern, b, h, eps)
     layout = extended._relay_grid(kern, [extended.Mollifier(e) for e in eps], b, h)
     q = layout.q
-    lo, width = extended._panels(q, len(sol.grid) - 1 - layout.first, to_zero=True)
+    lo, width = extended._panels(q, len(sol.grid) - 1 - layout.first)
     assert lo[-1] == 0.0 and lo[-2] <= 1e-6
     assert np.any(sol.rho[layout.first :] < 1.0)
     for k, x in enumerate(sol.grid):
@@ -536,21 +573,41 @@ def test_relay_certificate_matches_per_node_gauss_loop(coarse):
 
 
 def test_regular_certificate_matches_per_node_gauss_loop(synthetic, synthetic_pattern):
-    x_star = synthetic_pattern.x_star
-    reg = extended.regular_extension_solve(synthetic, synthetic_pattern, 1.3 * x_star, 0.05)
-    edges = np.concatenate([[x_star], reg.grid])
-    assert len(reg.grid) > 10
+    # the certificate against a per-node loop over its partition: the grid
+    # x* q^k continued below x* until it passes under the first ring's top,
+    # rho on each panel its value at the panel's top, less the step of each
+    # ring edge inside the panel on the piece below that edge, then rho = 1
+    # on panels graded to 0
+    x_star, history = synthetic_pattern.x_star, synthetic_pattern.precipitated()
+    b, h = 1.3 * x_star, 0.05
+    reg = extended.regular_extension_solve(synthetic, synthetic_pattern, b, h)
+    q = extended._geometric_nodes(x_star, b, h)[1]
+    below = 1
+    while x_star * q**-below >= history[0][1]:
+        below += 1
+    edges = np.concatenate([x_star * q ** np.arange(-below, 0.0), [x_star], reg.grid])
+    lo, width = extended._panels(q, len(edges) - 1)
+    steps = [(y, 1.0 - 2.0 * top) for ring in history for top, y in enumerate(ring)]
+    assert len(reg.grid) > 10 and below > 10 and len(steps) > 10
+
+    def rho_top(i):
+        if i >= below:
+            return reg.rho[i - below]
+        return float(any(r_lo < edges[i + 1] <= r_hi for r_lo, r_hi in history))
+
     for j, x in enumerate(reg.grid):
         def f(y):
             return synthetic.eval(y / x)
 
-        total = 0.0
-        for lo, hi in synthetic_pattern.precipitated():
-            sub = np.linspace(lo, hi, int(np.ceil((hi - lo) / (0.04 * x_star))) + 1)
-            total += _gauss(f, sub[:-1], sub[1:])
-        total += sum(reg.rho[i] * _gauss(f, edges[i], edges[i + 1]) for i in range(j))
-        total = total / x + reg.rho[j] * _end_gauss(synthetic.eval, edges[j] / x)
-        expect = abs(synthetic.gamma_const - x * x * total)
+        node, total = below + 1 + j, 0.0
+        for i in range(node - 1):
+            total += rho_top(i) * _gauss(f, edges[i], edges[i + 1])
+            for y, step in steps:
+                if edges[i] < y < edges[i + 1]:
+                    total -= step * _gauss(f, edges[i], y)
+        total = total / x + reg.rho[j] * _end_gauss(synthetic.eval, edges[node - 1] / x)
+        total += _gauss(synthetic.eval, lo[node - 1 :], lo[node - 1 :] + width[node - 1 :])
+        expect = abs(reg.omega[j] - synthetic.gamma_const + x * x * total)
         assert reg.residual_local[j] == pytest.approx(expect, abs=1e-13)
 
 
