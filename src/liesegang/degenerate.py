@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 from scipy.interpolate import CubicHermiteSpline
 
 from . import rings
 from .errors import BridgeInfeasible, InvalidParameter, TangentialTemplate, VerificationFailed
 from .kernel import Kernel, synthetic_kernel
-from .specfun import pointwise
+from .specfun import integral, pointwise, root
 
 def default_template() -> Kernel:
     return synthetic_kernel(0.5, 1.0)
@@ -52,7 +52,7 @@ def template_zeros(template: Kernel) -> tuple[float, float]:
         hi *= 1.5
         if hi > 1e6 * x1:
             raise no_zero
-    return x1, optimize.brentq(value, lo, hi, xtol=np.finfo(float).tiny)  # 4 eps relative
+    return x1, root(value, lo, hi)
 
 
 def _omega_star(template: Kernel, x1: float):
@@ -143,10 +143,8 @@ def build_gap_bridge(template: Kernel, x1: float, x2: float, epsilon: float) -> 
 
     z_hi = x2 + 2.0 * epsilon
     if right(z_hi) > gamma / 2.0:
-        # right(x2 + eps) = 0; xtol tiny: stop on the relative test (4 eps) alone
-        z_eps = optimize.brentq(
-            lambda x: right(x) - gamma / 2.0, x2 + epsilon, z_hi, xtol=np.finfo(float).tiny
-        )
+        # right(x2 + eps) = 0
+        z_eps = root(lambda x: right(x) - gamma / 2.0, x2 + epsilon, z_hi)
     else:
         z_eps = z_hi
 
@@ -197,10 +195,7 @@ def kernel_from_bridge(bridge: GapBridge) -> PartialKernel:
 
     int_k = anti(1.0) - anti(r)
     breaks = sorted({r, x1 / (x2 + eps), x1 / (x2 - eps)})
-    int_g, err = integrate.quad(
-        g_eps, r, 1.0, points=[b for b in breaks if r < b < 1.0],
-        epsabs=0.0, epsrel=1e-11, limit=400,
-    )
+    int_g = integral(g_eps, r, 1.0, 1e-11, "G_eps", points=[b for b in breaks if r < b < 1.0])
     return PartialKernel(
         bridge=bridge, r=float(r), eval=k_eps, anti=anti,
         int_k=float(int_k), int_g=float(int_g), g_at_r=float(g_eps(r)),

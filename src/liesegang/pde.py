@@ -172,21 +172,18 @@ def transport_p(state: PdeState, config: PdeConfig) -> np.ndarray:
     p = np.zeros(config.n_full)
 
     if config.model == SIMPLIFIED:
-        p_src = 1.0 if w[N] >= state.thresh[0] else 0.0
+        top = N if w[N] >= state.thresh[0] else -1
     else:
         above = (w[N:] > state.thresh).nonzero()[0]
         frontier = N + int(above[-1]) if len(above) else -1
         recede = (state.I_max * (j - 1)) // j if state.I_max >= 0 else -1
-        state.I_max = max(frontier, recede)
-        p_src = 1.0 if state.I_max >= N else 0.0
-        if state.I_max >= N:
-            p[N : state.I_max + 1] = 1.0
+        state.I_max = top = max(frontier, recede)
+    p[N : top + 1] = 1.0  # empty when top < N
+    p_src = float(p[N])
 
     state.p_source_hist[j] = p_src
     state.P_running += p_src
     state.P_hist[j] = state.P_running
-    if config.model == SIMPLIFIED:
-        p[N] = p_src
 
     k = backward_index(state.cells, j, N)
     if j <= N:

@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InvalidParameter, NoRoot, require_positive
-from .specfun import SQRT_PI, Z_DOMAIN, erfc, kummer_m, pointwise
+from .specfun import SQRT_PI, Z_DOMAIN, erfc, kummer_m, pointwise, root
 
 KAPPA_MAX = 50.0
 # solve_kappa's scan grid in (1, KAPPA_MAX]; its ends are the solvable bracket
@@ -138,8 +137,7 @@ def solve_kappa(params: ModelParams) -> Profile:
             lo = mid
         else:
             hi = mid
-    # xtol tiny: stop on the relative test (4 eps) alone
-    kappa = optimize.brentq(f, grid[lo], grid[hi], xtol=np.finfo(float).tiny)
+    kappa = root(f, grid[lo], grid[hi])
     if abs(f(kappa)) > 1e-12:
         raise NoRoot("root refinement left residual above 1e-12")
     a = params.alpha

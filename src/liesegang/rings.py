@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InvalidParameter, require_positive
 from .kernel import Kernel, require_sigma
-from .specfun import pointwise
+from .specfun import pointwise, root
 
 MAX_SCAN_POINTS = 2**20  # omega evaluations of one next_zero scan, checked as it advances
 _Q_FLOOR = 1e-280  # q_star's scan starts here
@@ -107,7 +106,7 @@ def omega_eval(kern: Kernel, zeros, x):
 
 
 def _band_value(x, kern: Kernel, zeros) -> float:
-    """omega at a scalar x > 0 for brentq, omega_eval's bit for bit: one
+    """omega at a scalar x > 0 for root, omega_eval's bit for bit: one
     prefix call, then the terms in zero order as its cumsum adds them.  kern
     and zeros come through args=; a closure would keep the kernel alive."""
     *a, last = kern.prefix(np.array([min(z / x, 1.0) for z in zeros] + [1.0])).tolist()
@@ -164,9 +163,7 @@ def next_zero(kern: Kernel, zeros, scan_step: float, root_tol: float,
             continue
         j = int(flip[0])
         lo = x_prev if j == 0 else float(xs[j - 1])
-        # xtol tiny: stop on the relative test (4 eps) alone
-        return optimize.brentq(_band_value, lo, float(xs[j]), args=(kern, zeros),
-                               xtol=np.finfo(float).tiny)
+        return root(_band_value, lo, float(xs[j]), args=(kern, zeros))
     return None
 
 
@@ -244,11 +241,7 @@ def q_star(sigma: float) -> float:
     if len(idx) == 0:
         raise InvalidParameter(f"sigma={sigma}: q* ~ sigma^(1/sigma) lies below the scan "
                                f"floor {_Q_FLOOR:g} (sigma below about 0.00757)")
-    # xtol tiny: stop on the relative test (4 eps) alone; near sigma = 0.01
-    # round-off in g forces bisection steps (up to 82 of the default 100)
-    return optimize.brentq(
-        g, qs[idx[0]], qs[idx[0] + 1], xtol=np.finfo(float).tiny, maxiter=200
-    )
+    return root(g, qs[idx[0]], qs[idx[0] + 1])
 
 
 def _extrapolate(zeros, q_bound: float) -> float:

@@ -13,17 +13,24 @@ b = 3.3, z = -1.7.  kummer_series sets up the same
 transformed series once for one interval [-z_max, 0], as a polynomial
 P(w) with M(a, b, z) = e^z P(-z); the derived kernel's fixed-rule
 quadrature evaluates it by Horner at its millions of nodes.
+
+The library's two numerical policies live here too.  root refines a
+bracketed root by Brent's method (Brent 1973) to 4 eps relative, and
+integral is one adaptive QUADPACK call (Piessens et al. 1983) with
+epsabs = 0 and 400 subintervals whose error estimate must stay within
+10 tol of the value.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import warnings
 
 import numpy as np
-from scipy import special
+from scipy import integrate, optimize, special
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, QuadratureFailure
 
 SQRT_PI = float(np.sqrt(np.pi))
 
@@ -117,3 +124,24 @@ def kummer_series(a: float, b: float, z_max: float):
 def erfc(x):
     """Complementary error function 1 - erf(x)."""
     return special.erfc(x)
+
+
+def root(f, lo: float, hi: float, args=()) -> float:
+    """Root of f(x, *args) in the sign-changing bracket [lo, hi] by Brent's
+    method.  xtol is tiny, so it stops on the relative test (4 eps) alone;
+    maxiter is 200 because near sigma = 0.01 round-off in q_star's function
+    forces bisection steps (up to 82)."""
+    return optimize.brentq(f, lo, hi, args=args, xtol=np.finfo(float).tiny, maxiter=200)
+
+
+def integral(f, a: float, b: float, tol: float, what: str, **kw) -> float:
+    """int_a^b f by QUADPACK to relative tolerance tol (epsabs = 0, limit
+    400), with its warnings silenced; kw goes on to scipy's quad (points,
+    weight, wvar).  Raises QuadratureFailure naming what when the error
+    estimate exceeds 10 tol |value|."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=tol, limit=400, **kw)
+    if err > 10.0 * tol * abs(val):
+        raise QuadratureFailure(f"{what} quadrature error {err:.2e} above tolerance {tol:.2e}")
+    return val

@@ -5,10 +5,11 @@ import pytest
 from scipy import integrate
 
 from liesegang import degenerate as dg
-from liesegang import rings
+from liesegang import rings, specfun
 from liesegang.errors import (
     BridgeInfeasible,
     InvalidParameter,
+    QuadratureFailure,
     TangentialTemplate,
     VerificationFailed,
 )
@@ -382,6 +383,15 @@ def test_non_positive_k_eps_is_refused(template, bridge):
     )
     with pytest.raises(BridgeInfeasible, match="K_eps non-positive"):
         dg.kernel_from_bridge(tampered)
+
+
+def test_inaccurate_g_eps_quadrature_is_refused(bridge, monkeypatch):
+    # int_r^1 G_eps is the only runtime route to int G_hat = Gamma (the head
+    # reduces to Gamma - int_g), so an error estimate above 10 tol of the
+    # value must fail here rather than pass the Gamma check by construction
+    monkeypatch.setattr(specfun.integrate, "quad", lambda *args, **kw: (1.0, 1e-3))
+    with pytest.raises(QuadratureFailure, match="G_eps quadrature error"):
+        dg.kernel_from_bridge(bridge)
 
 
 def test_epsilon_scan_without_admissible_epsilon(template, zeros12):

@@ -221,12 +221,21 @@ def test_regular_certificate_grid_is_capped(synthetic, synthetic_pattern, monkey
         extended.regular_extension_solve(synthetic, synthetic_pattern, x_star + 3.0 * h, h)
 
 
+@pytest.fixture(scope="module")
+def k_hat():
+    """The degenerate construction's K_hat and its pattern, per template sigma."""
+    out = {}
+    for sigma in (0.3, 0.5):
+        kern = degenerate.construct_degenerate(kernel.synthetic_kernel(sigma, 1.0)).result
+        out[sigma] = kern, rings.solve_pattern(kern)
+    return out
+
+
 @pytest.mark.parametrize("sigma, gap_from", [(0.3, 1.2829), (0.5, 1.7677)])
-def test_regular_extension_opens_a_gap_past_degenerate_breakdown(sigma, gap_from):
+def test_regular_extension_opens_a_gap_past_degenerate_breakdown(k_hat, sigma, gap_from):
     # on K_hat the division a/c leaves [0, 1] (down to rho = -0.075 and
     # -0.246 unprojected); projected, rho = 0 and omega = a < 0 there
-    kern = degenerate.construct_degenerate(kernel.synthetic_kernel(sigma, 1.0)).result
-    pattern = rings.solve_pattern(kern)
+    kern, pattern = k_hat[sigma]
     assert pattern.classification is rings.Classification.DEGENERATE
     reg = extended.regular_extension_solve(kern, pattern, 2.0 * pattern.x_star, 1e-3)
     assert np.all((reg.rho >= 0.0) & (reg.rho <= 1.0))
@@ -237,6 +246,32 @@ def test_regular_extension_opens_a_gap_past_degenerate_breakdown(sigma, gap_from
     step = reg.grid[first] - reg.grid[first - 1]
     assert abs(reg.grid[first] - gap_from * pattern.x_star) <= step
     assert reg.residual < 1e-5
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.5])
+def test_mollified_levels_converge_to_the_projected_extension(k_hat, sigma):
+    # past degenerate breakdown the mollified levels approach the projected
+    # regular step, gap included.  On nodes past 1.02 x*, halving eps from
+    # 4e-3 to 2e-3 shrinks sup |omega_eps - omega| and mean |rho_eps - rho|
+    # by 1.55x to 2.2x (6.1e-3 -> 3.6e-3 and 1.3e-2 -> 8.5e-3 at sigma 0.3,
+    # 6.7e-3 -> 3.3e-3 and 4.4e-3 -> 2.0e-3 at sigma 0.5)
+    kern, pattern = k_hat[sigma]
+    x_star = pattern.x_star
+    b = 2.0 * x_star
+    reg = extended.regular_extension_solve(kern, pattern, b, 1e-3)
+    edges, omega = np.append(x_star, reg.grid), np.append(0.0, reg.omega)
+    gaps = []
+    for eps in ([1.6e-2, 8e-3, 4e-3], [1.6e-2, 8e-3, 4e-3, 2e-3]):
+        sol = extended.extended_solve(kern, b, 5e-4, eps)
+        past = sol.grid > 1.02 * x_star
+        x = sol.grid[past]
+        # rho is per panel (x* q^(j-1), x* q^j]; the last node may round past b
+        panel = np.minimum(np.searchsorted(reg.grid, x), len(reg.grid) - 1)
+        gaps.append((np.max(np.abs(sol.omega[past] - np.interp(x, edges, omega))),
+                     np.mean(np.abs(sol.rho[past] - reg.rho[panel]))))
+    (sup1, mean1), (sup2, mean2) = gaps
+    assert sup1 >= 1.4 * sup2 and mean1 >= 1.4 * mean2
+    assert sup2 < 4e-3 and mean2 < 1e-2
 
 
 def test_regular_extension_needs_breakdown(synthetic):

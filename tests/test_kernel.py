@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from liesegang import kernel as kn
+from liesegang import specfun
 from liesegang.errors import InvalidParameter, QuadratureFailure, SingularAtZero
 from liesegang.profile import (
     ModelParams, check_solvability, phi_eval, psi_at_source, solve_kappa,
@@ -236,7 +237,7 @@ def test_g_eval_refuses_an_inaccurate_quadrature(monkeypatch, profile01, theta):
     # an error estimate above 10 quad_tol of the value is a failure, at
     # theta = 0 (kappa > 2 here) as elsewhere
     assert profile01.kappa > 2.0
-    monkeypatch.setattr(kn, "_quad", lambda *args, **kw: (1.0, 1e-3))
+    monkeypatch.setattr(specfun.integrate, "quad", lambda *args, **kw: (1.0, 1e-3))
     with pytest.raises(QuadratureFailure, match="quadrature error"):
         kn.g_eval(profile01, theta)
 
