@@ -1,6 +1,6 @@
 """SHA-256 of every CSV the benchmark's CLI invocations write.
 
-Usage: python scripts/cli_digest.py [--only NAME[,NAME...]]
+Usage: python scripts/cli_digest.py [--only NAME[,NAME...]] [--save DIR] [--against DIR]
 
 Runs the eight invocations of the cli_roundtrip benchmark workload, with
 the inputs that workload draws from seed 107, then `extended` in its default
@@ -13,7 +13,11 @@ rings, degenerate, rings_file, extended, extended_mollified, pde, compare,
 extended_degenerate); rings_file and extended_degenerate read
 degenerate.csv, so they need degenerate with them.  Run it at two commits
 and diff the outputs to check that a change leaves every CSV
-byte-identical.  Exits 1 if an invocation exits nonzero, after printing the
+byte-identical.  --save DIR copies the CSVs into DIR; --against DIR ends
+each line with `same` when the CSV's bytes equal DIR's copy, else with the
+largest relative difference over its numeric cells and `#` values (inf
+where a text cell or the number of cells differs, `missing` where DIR has
+no copy).  Exits 1 if an invocation exits nonzero, after printing the
 rest.
 """
 
@@ -21,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -47,10 +53,52 @@ def invocations(workdir: Path) -> list[list[str]]:
     return argvs
 
 
+def max_rel_diff(old: str, new: str) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the cells (split at `,` and
+    `=`) of two CSV texts; inf where a non-numeric cell or the layout
+    differs."""
+    lines_old, lines_new = old.splitlines(), new.splitlines()
+    if len(lines_old) != len(lines_new):
+        return math.inf
+    worst = 0.0
+    for line_old, line_new in zip(lines_old, lines_new):
+        cells_old = line_old.replace("=", ",").split(",")
+        cells_new = line_new.replace("=", ",").split(",")
+        if len(cells_old) != len(cells_new):
+            return math.inf
+        for a, b in zip(cells_old, cells_new):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                return math.inf
+            if x == y:  # 0.0 against -0.0
+                continue
+            rel = abs(x - y) / max(abs(x), abs(y))
+            worst = max(worst, rel if rel == rel else math.inf)  # nan: a nan or inf moved
+    return worst
+
+
+def compare(name: str, against: Path) -> str:
+    """`same`, the largest relative difference, or `missing`."""
+    ref = against / name
+    if not ref.exists():
+        return "missing"
+    if ref.read_bytes() == Path(name).read_bytes():
+        return "same"
+    return f"{max_rel_diff(ref.read_text(), Path(name).read_text()):.2e}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", help="comma-separated CSV stems")
+    parser.add_argument("--save", type=Path, help="copy the CSVs into this directory")
+    parser.add_argument("--against", type=Path, help="compare the CSVs with this directory's")
     args = parser.parse_args(argv)
+    save, against = (None if d is None else d.resolve() for d in (args.save, args.against))
+    if save is not None:
+        save.mkdir(parents=True, exist_ok=True)
     failed, home = False, os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # the file: kernel's path is written relative, as the workload has it
@@ -69,7 +117,12 @@ def main(argv=None) -> int:
                     print(f"exit {code}  {name}", file=sys.stderr)
                     failed = True
                     continue
-                print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
+                line = f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}"
+                if against is not None:
+                    line += f"  {compare(name, against)}"
+                print(line)
+                if save is not None:
+                    shutil.copyfile(name, save / name)
         finally:
             os.chdir(home)
     return 1 if failed else 0

@@ -27,15 +27,16 @@ k = sqrt(2/pi) u*/alpha.
 G has two evaluators.  g_eval is adaptive (one QUADPACK call in log v,
 a scalar Python integrand that sums Kummer's series term by term) and
 serves scalar probes.  _g_grid, behind the tables, uses fixed 16-point
-Gauss panels in v: geometric ones of ratio <= 4 from v_min up to v = 1,
-then 6 panels that widen with v up to the e^-46 truncation; above
-kappa = 8 the v^(-kappa/2) fall near v_min gets ceil(kappa/8) times the
-panels.  Every point with v_min < 1 shares the graded nodes v = 1 +
-offsets, whose weights _g_grid sets up once per call.  At g_eval's
-quad_tol = 1e-11 the two agree to 1e-13 relative from kappa = 1.8 to 46
-with theta down to 1e-10 and up to 1 - 1e-12, and to 1.3e-12 over 90
-random profiles with alpha and beta in [0.3, 3] (worst at |theta| ~ 1e-7,
-kappa 7.5).
+Gauss rules: geometric panels of ratio <= 4 from v_min up to v = 1, then
+one Gauss rule in u = 1/v for the weight e^-v v^-3/2 on [1, 47], built
+once at import and shared by every point with v_min < 1; a point with
+v_min >= 1 gets 6 panels in v that widen up to the e^-46 truncation.
+Above kappa = 8 the v^(-kappa/2) fall near v_min gets ceil(kappa/8)
+times the panels.  At g_eval's quad_tol = 1e-11 the two agree to 2.2e-13
+relative from kappa = 1.8 to 46 with theta down to 1e-10 and up to
+1 - 1e-12 (worst at theta ~ -0.99, where v_min > 1), and to 1.1e-12 over
+90 random profiles with alpha and beta in [0.3, 3] (worst at
+theta ~ -2.5e-5, kappa 8.0).
 gamma * int G, the constant Gamma, is Psi(alpha) - u* in closed form.
 
 The module also hosts the generic Kernel container used by the ring-pattern,
@@ -181,6 +182,50 @@ def _v_min(alpha: float, theta) -> np.ndarray:
     return alpha * alpha * t * t * (1.0 - t) / (4.0 * (1.0 + t))
 
 
+def _weighted_panels(a_e, b_e, x=_GL_X, w=_GL_W):
+    """Nodes v of the Gauss rule (x, w) on each panel [a_e, b_e], one row a
+    panel, and their weights times e^-v v^-3/2."""
+    half = 0.5 * (b_e - a_e)
+    v = 0.5 * (b_e + a_e)[:, None] + half[:, None] * x
+    return v, np.exp(-v) / (v * np.sqrt(v)) * (half[:, None] * w)
+
+
+def _inverse_v_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule (u_k, w_k) in u = 1/v for the exponential range:
+    sum w_k h(u_k) ~ int_1^(1+_V_CUT) e^-v v^-3/2 h(1/v) dv, exact for
+    polynomials h of degree < 2n.
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the Jacobi matrix and the weights the mass times the squared first
+    components of its eigenvectors.  The matrix comes from Lanczos with
+    full reorthogonalization on a discretization of the measure
+    (Gautschi, Orthogonal Polynomials, 2004, sec. 2.2): 20-point
+    Gauss-Legendre on 19 panels in v, narrow near v = 1, where u^31 falls
+    fastest.  At n = 16 its moments up to u^31 agree with 30-digit
+    quadrature to 2.5e-15 relative.
+    """
+    edges = np.array([1.0, 1.125, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0,
+                      10.0, 12.0, 15.0, 20.0, 25.0, 30.0, 40.0, 1.0 + _V_CUT])
+    v, wts = _weighted_panels(edges[:-1], edges[1:], *np.polynomial.legendre.leggauss(20))
+    u, wts = 1.0 / v.ravel(), wts.ravel()
+    mass = np.sum(wts)
+    basis = np.zeros((n + 1, u.size))  # orthonormal in the discrete inner product
+    basis[0] = np.sqrt(wts / mass)
+    diag, off = np.zeros(n), np.zeros(n)
+    for j in range(n):
+        r = u * basis[j]
+        diag[j] = basis[j] @ r
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal
+            r -= basis[:j + 1].T @ (basis[:j + 1] @ r)
+        off[j] = np.linalg.norm(r)
+        basis[j + 1] = r / off[j]
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off[:-1], -1))
+    return nodes, mass * vecs[0] ** 2
+
+
+_INV_V_RULE = _inverse_v_rule(16)  # _g_grid's nodes and weights on v in [1, 1 + _V_CUT]
+
+
 def _prefactor(alpha: float, theta) -> np.ndarray:
     t = np.asarray(theta, dtype=float)
     return (
@@ -251,36 +296,37 @@ def g_eval(profile: Profile, theta: float, quad_tol: float = 1e-10) -> float:
 
 
 def _g_grid(profile: Profile, thetas) -> np.ndarray:
-    """Vectorized G on an array of thetas via fixed composite Gauss panels.
+    """Vectorized G on an array of thetas via fixed Gauss rules.
 
-    The v-layout is _V_LAYOUT = (geo_max, offsets).  Each point gets m
-    geometric panels of ratio <= geo_max from v_min up to v = 1, then
-    graded panels with edges base + offsets up to the e^-46 truncation
-    (base = 1, or v_min when v_min >= 1); 16-point Gauss-Legendre per
-    panel.  Over the exponential range the integrand is e^-v times a
-    function analytic at distance >= 1 from each panel, so the panels may
-    widen with v: the 6 graded ones have widths 1, 2, 4, 8, 16, 15.  Near
-    v_min the integrand falls like v^(-kappa/2); above kappa = _GEO_KAPPA
-    that fall is split into ceil(kappa/_GEO_KAPPA) panels, both on the
-    geometric range and on the first graded panel (where it lies when
-    v_min is near or above 1).  The layout agrees with one of ratio 1.5
-    and width 1/4 to 1e-14 relative up to kappa = 46, and with g_eval as
-    the module docstring states (1e-13, and 1.3e-12 at worst).
+    A point with v_min < 1 gets m geometric panels of ratio <= geo_max
+    from v_min up to v = 1, then the exponential range [1, 1 + _V_CUT]
+    from _INV_V_RULE: 16 Gauss nodes in u = 1/v for the weight e^-v v^-3/2,
+    where the rest of the integrand, F(A + B u) below, is analytic in u
+    out to its branch point u = -A/B < 0.  A point with v_min >= 1 gets
+    graded panels with edges v_min + offsets up to the e^-46 truncation:
+    there the integrand is e^-v times a function analytic at distance >= 1
+    from each panel, so the panels may widen with v (the 6 graded ones
+    have widths 1, 2, 4, 8, 16, 15).  Both panel kinds take 16-point
+    Gauss-Legendre; _V_LAYOUT = (geo_max, offsets).  Near v_min the
+    integrand falls like v^(-kappa/2); above kappa = _GEO_KAPPA that fall
+    is split into ceil(kappa/_GEO_KAPPA) panels, on the geometric range and
+    on the first graded panel.  The rules agree with panels of ratio 1.5
+    and width 1/4 (the exponential range included) to 2e-14 relative from
+    kappa = 1.8 to 46, and with g_eval as the module docstring states.
 
     The integrand is c1 e^-v v^-3/2 F(w), w = zeta^2/4 = A + B/v with
     A = (alpha theta)^2/4 and B = A cc, F(w) = e^-w (4w)^((kappa-3)/2) P(w)
     and P from kummer_series, set up once per call for w up to alpha^2/4
-    (zeta <= alpha).  Points with v_min < 1 share the graded nodes
-    v = 1 + offsets: their weights e^-v v^-3/2 (Gauss weight) (half-width)
-    form one row, and such a point's graded part is the row sum of F times
-    it.  The other panels keep a v per node in one ragged list.  Both run
-    in blocks of about _BLOCK_PANELS panels that split only between
-    points; a point's ragged panel sums are added in panel order by
-    np.bincount, then its shared sum.  Sums are np.sum(axis=1), not @: BLAS
-    gemv may round a row differently with the number of rows, and a
-    point's G must not depend on its neighbours.  The scalar path (g_eval)
-    sums the same series term by term, so the table's probes stay a
-    separate check of this one.
+    (zeta <= alpha).  Points with v_min < 1 share the rule's nodes: its
+    weights form one row, and such a point's exponential part is the row
+    sum of F times it.  The other panels keep a v per node in one ragged
+    list.  Both run in blocks of about _BLOCK_PANELS panels' nodes that
+    split only between points; a point's ragged panel sums are added in
+    panel order by np.bincount, then its shared sum.  Sums are
+    np.sum(axis=1), not @: BLAS gemv may round a row differently with the
+    number of rows, and a point's G must not depend on its neighbours.  The
+    scalar path (g_eval) sums the same series term by term, so the table's
+    probes stay a separate check of this one.
     """
     t = np.asarray(thetas, dtype=float)
     out = np.zeros_like(t)
@@ -302,12 +348,6 @@ def _g_grid(profile: Profile, thetas) -> np.ndarray:
         # e^-w (4w)^((kappa-3)/2) P(w), the two powers in one exponential
         return np.exp((k - 3.0) / 2.0 * np.log(4.0 * w) - w) * series(w)
 
-    def gauss(a_e, b_e):
-        # nodes of the panels [a_e, b_e], and their weights times e^-v v^-3/2
-        half = 0.5 * (b_e - a_e)
-        v = 0.5 * (b_e + a_e)[:, None] + half[:, None] * _GL_X
-        return v, np.exp(-v) / (v * np.sqrt(v)) * (half[:, None] * _GL_W)
-
     # ragged edges of point i: vm ratio^j, j <= m, when vm < 1, else vm + offsets
     geo_max, offsets = _V_LAYOUT
     split = max(1, int(np.ceil(k / _GEO_KAPPA)))
@@ -317,8 +357,7 @@ def _g_grid(profile: Profile, thetas) -> np.ndarray:
     small = vm < 1.0
     m[small] = split * np.maximum(1, np.ceil(np.log(1.0 / vm[small]) / np.log(geo_max)).astype(int))
     ratio = (1.0 / vm) ** (1.0 / np.maximum(m, 1))
-    v_shared, row = gauss(1.0 + offsets[:-1], 1.0 + offsets[1:])
-    inv_shared, row = 1.0 / v_shared.ravel(), row.ravel()
+    inv_shared, row = _INV_V_RULE
     n_own = np.where(small, m, n_graded)
     first = np.concatenate(([0], np.cumsum(n_own)))
 
@@ -332,10 +371,10 @@ def _g_grid(profile: Profile, thetas) -> np.ndarray:
         def edge(jj):
             return np.where(sp, vp * rp**jj, vp + offsets[np.minimum(jj, n_graded)])
 
-        v, wts = gauss(edge(j), edge(j + 1))
+        v, wts = _weighted_panels(edge(j), edge(j + 1))
         panel = np.sum(f_of_w(w_a[point, None] + w_b[point, None] / v) * wts, axis=1)
         res[lo:hi] = np.bincount(point - lo, weights=panel, minlength=hi - lo)
-    shared, step = np.flatnonzero(small), _BLOCK_PANELS // n_graded
+    shared, step = np.flatnonzero(small), _BLOCK_PANELS * _GL_X.size // row.size
     for lo in range(0, shared.size, step):
         s = shared[lo:lo + step]
         res[s] += np.sum(f_of_w(w_a[s, None] + w_b[s, None] * inv_shared) * row, axis=1)

@@ -517,6 +517,16 @@ def test_integer_flag_never_raises(tmp_path, capsys, argv, flag, cap, value):
         assert rc == 2
 
 
+def run_sized(tmp_path_factory, argv):
+    """Exit code, stderr and data rows of one in-process run."""
+    out = tmp_path_factory.mktemp("size") / "o.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = dispatch(argv + ["--out", str(out)])
+    assert "Traceback" not in err.getvalue()
+    return rc, err.getvalue(), read_rows(out)[2] if rc == 0 else None
+
+
 @pytest.mark.parametrize("argv", [["pde"], ["compare", "--table-points", "256"]],
                          ids=["pde", "compare"])
 @settings(max_examples=20, deadline=None)
@@ -527,18 +537,63 @@ def test_integer_flag_never_raises(tmp_path, capsys, argv, flag, cap, value):
 @example(n_cells=pde.MAX_N).via("the cap")
 def test_pde_size_between_one_and_the_cap(tmp_path_factory, argv, n_cells):
     # a 2-step run costs under 0.2 s even at the cap, so no draw starts a long run
-    out = tmp_path_factory.mktemp("size") / "o.csv"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = dispatch(argv + ["--N", str(n_cells), "--ds", "1e-2", "--smax", "2e-2",
-                              "--out", str(out)])
-    assert "Traceback" not in err.getvalue()
+    rc, err, rows = run_sized(tmp_path_factory,
+                              argv + ["--N", str(n_cells), "--ds", "1e-2", "--smax", "2e-2"])
     if n_cells < 16:
         assert rc == 2
-        assert err.getvalue().startswith("error: InvalidParameter: N must lie in [16, ")
+        assert err.startswith("error: InvalidParameter: N must lie in [16, ")
     else:
         assert rc == 0
-        assert len(read_rows(out)[2]) == 2
+        assert len(rows) == 2
+
+
+# a 65536-point table costs about 0.8 s in process, so few draws
+@settings(max_examples=4, deadline=None)
+@given(n_points=st.integers(1, MAX_TABLE_POINTS))
+@example(n_points=1).via("the smallest size")
+@example(n_points=255).via("one below the floor")
+@example(n_points=256).via("the floor")
+@example(n_points=MAX_TABLE_POINTS).via("the cap")
+def test_table_points_between_one_and_the_cap(tmp_path_factory, n_points):
+    rc, err, rows = run_sized(tmp_path_factory, ["kernel", "--table-points", str(n_points)])
+    if n_points < 256:
+        assert rc == 2
+        assert err.startswith("error: InvalidParameter: n_points must lie in [256, ")
+    else:
+        assert rc == 0
+        assert len(rows) == n_points + 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, MAX_TABLE_POINTS))
+@example(n=1).via("the smallest size, one below the floor")
+@example(n=2).via("the floor")
+@example(n=MAX_TABLE_POINTS).via("the cap")
+def test_profile_size_between_one_and_the_cap(tmp_path_factory, n):
+    rc, err, rows = run_sized(tmp_path_factory, ["profile", "--n", str(n)])
+    if n < 2:
+        assert rc == 2
+        assert err.startswith("error: InvalidParameter: need 2 <= --n <= ")
+    else:
+        assert rc == 0
+        assert len(rows) == n
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 10**18 - 1))
+@example(n=0).via("one below the floor")
+@example(n=1).via("the smallest size and the floor")
+@example(n=10**18 - 1).via("the cap")
+def test_max_zeros_between_one_and_the_cap(tmp_path_factory, n):
+    # the solve stops at the accumulation, so a huge count costs no more
+    rc, err, rows = run_sized(tmp_path_factory, ["rings", "--max-zeros", str(n)])
+    if n < 1:
+        assert rc == 2
+        assert err.startswith("error: InvalidParameter: max_zeros must be >= 1, got 0")
+    else:
+        assert rc == 0
+        assert 1 <= len(rows) <= n
+        assert len(rows) == n or "Truncated" not in err
 
 
 def test_default_stdout_csv_reads_back(tmp_path, capsys):

@@ -306,8 +306,9 @@ def test_grid_point_alone_equals_table_call(request, which):
 
 def test_grid_work_is_pinned(monkeypatch, profile02):
     # point i costs its m_i geometric panels (ratio <= 4 from v_min up to
-    # v = 1) and the six graded panels of the exponential range, 16 nodes
-    # each; uniform panels over the exponential range would cost 23
+    # v = 1), 16 nodes each, and the exponential range: the 16 nodes of the
+    # rule in 1/v when v_min < 1, else the six graded panels; graded panels
+    # at a point with v_min < 1 would cost it 80 more nodes
     nodes = []
     series = kn.kummer_series
 
@@ -322,13 +323,13 @@ def test_grid_work_is_pinned(monkeypatch, profile02):
 
     monkeypatch.setattr(kn, "kummer_series", counting_series)
     assert profile02.kappa < kn._GEO_KAPPA
-    thetas = _table_thetas()
-    for sign in (1.0, -1.0):
-        nodes.clear()
-        g = kn._g_grid(profile02, sign * thetas)
-        vm = kn._v_min(profile02.params.alpha, sign * thetas[g != 0.0])
-        m = np.where(vm < 1.0, np.maximum(1.0, np.ceil(-np.log(vm) / np.log(4.0))), 0.0)
-        assert 0 < sum(nodes) <= np.sum((m + 6) * 16)
+    thetas = np.concatenate([_table_thetas(), -_table_thetas()])
+    g = kn._g_grid(profile02, thetas)
+    vm = kn._v_min(profile02.params.alpha, thetas[g != 0.0])
+    small = vm < 1.0
+    m = np.where(small, np.maximum(1.0, np.ceil(np.log(1.0 / vm) / np.log(4.0))), 0.0)
+    assert 0 < np.sum(small) < small.size
+    assert sum(nodes) == np.sum(16 * m + np.where(small, 16, 96))
 
 
 @pytest.mark.parametrize("which, cap", [("profile02", 1000), ("profile_large_kappa", 1400)])
@@ -366,16 +367,54 @@ def test_g_eval_refuses_an_underflowing_v_min(profile02, theta):
         kn.g_eval(profile02, theta)
 
 
+def fine_grid(monkeypatch, prof, thetas):
+    """Oracle: _g_grid with panels of ratio 1.5 below v = 1 and width 1/4
+    above it, on the exponential range of every point."""
+    offsets = np.arange(0.0, kn._V_CUT + 0.125, 0.25)
+    v, wts = kn._weighted_panels(1.0 + offsets[:-1], 1.0 + offsets[1:])
+    with monkeypatch.context() as m:
+        m.setattr(kn, "_V_LAYOUT", (1.5, offsets))
+        m.setattr(kn, "_INV_V_RULE", (1.0 / v.ravel(), wts.ravel()))
+        return kn._g_grid(prof, thetas)
+
+
 @pytest.mark.parametrize("which", ["profile02", "profile_large_kappa"])
 def test_grid_layout_converged(monkeypatch, request, which):
-    # against panels of ratio 1.5 below v = 1 and width 1/4 above it
     prof = request.getfixturevalue(which)
     thetas = _table_thetas()[::8]
     for sign in (1.0, -1.0):
-        with monkeypatch.context() as m:
-            m.setattr(kn, "_V_LAYOUT", (1.5, np.arange(0.0, kn._V_CUT + 0.125, 0.25)))
-            ref = kn._g_grid(prof, sign * thetas)
+        ref = fine_grid(monkeypatch, prof, sign * thetas)
         np.testing.assert_allclose(kn._g_grid(prof, sign * thetas), ref, rtol=1e-13, atol=0.0)
+
+
+def test_inverse_v_rule_is_a_gauss_rule():
+    nodes, weights = kn._INV_V_RULE
+    assert nodes.shape == weights.shape == (16,)
+    assert np.all(weights > 0.0)
+    assert np.all((1.0 / (1.0 + kn._V_CUT) < nodes) & (nodes < 1.0))
+
+    def upper_gamma(x):  # Gamma(-1/2, x)
+        return 2.0 * np.exp(-x) / np.sqrt(x) - 2.0 * np.sqrt(np.pi) * specfun.erfc(np.sqrt(x))
+
+    mass = upper_gamma(1.0) - upper_gamma(1.0 + kn._V_CUT)
+    assert np.sum(weights) == pytest.approx(mass, rel=2e-15, abs=0.0)
+    # moments int_1^47 e^-v v^(-3/2-k) dv, k <= 31, by 64 Gauss-Legendre
+    # panels in u = 1/v, where the weight is e^(-1/u) u^(-1/2)
+    edges = np.linspace(1.0 / (1.0 + kn._V_CUT), 1.0, 65)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * kn._GL_X).ravel()
+    w = (half[:, None] * kn._GL_W).ravel() * np.exp(-1.0 / u) / np.sqrt(u)
+    k = np.arange(32)[:, None]
+    np.testing.assert_allclose(nodes ** k @ weights, u ** k @ w, rtol=1e-14, atol=0.0)
+
+
+def test_eight_node_rule_misses_at_large_kappa(monkeypatch, profile_large_kappa):
+    # guard: the tests above see a rule too short for the steep F of kappa 46
+    thetas = np.concatenate([_table_thetas(), -_table_thetas()])[::8]
+    ref = fine_grid(monkeypatch, profile_large_kappa, thetas)
+    monkeypatch.setattr(kn, "_INV_V_RULE", kn._inverse_v_rule(8))
+    g = kn._g_grid(profile_large_kappa, thetas)
+    assert np.max(np.abs(g - ref)[ref != 0.0] / ref[ref != 0.0]) > 1e-13
 
 
 def test_grid_memory_peak(profile02):

@@ -55,3 +55,35 @@ def test_cli_digest_hashes_what_the_cli_writes(tmp_path, monkeypatch, capsys):
         sha, name = line.split("  ")
         assert digest["cli"].dispatch(calls[name]) == 0
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+
+def test_cli_digest_saves_and_compares(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digest = runpy.run_path(str(SCRIPTS / "cli_digest.py"))
+    saved = tmp_path / "saved"
+    assert digest["main"](["--only", "profile,rings", "--save", str(saved)]) == 0
+    hashes = dict(line.split("  ")[::-1] for line in capsys.readouterr().out.splitlines())
+    assert sorted(p.name for p in saved.iterdir()) == ["profile.csv", "rings.csv"]
+    for name, sha in hashes.items():
+        assert hashlib.sha256((saved / name).read_bytes()).hexdigest() == sha
+    assert digest["main"](["--only", "profile,rings", "--against", str(saved)]) == 0
+    assert [line.split("  ")[2] for line in capsys.readouterr().out.splitlines()] == ["same"] * 2
+    # a numeric cell moved by 1e-12 relative, then a trailer's text changed
+    lines = (saved / "profile.csv").read_text().splitlines(keepends=True)
+    row = lines.index("eta,phi,psi\n") + 2
+    eta, phi, psi = lines[row].split(",")
+    lines[row] = f"{eta},{float(phi) * (1.0 + 1e-12)!r},{psi}"
+    (saved / "profile.csv").write_text("".join(lines))
+    rings_csv = (saved / "rings.csv").read_text()
+    (saved / "rings.csv").write_text(rings_csv.replace("classification = ", "classification = x"))
+    assert digest["main"](["--only", "profile,rings", "--against", str(saved)]) == 0
+    diffs = [line.split("  ")[2] for line in capsys.readouterr().out.splitlines()]
+    assert float(diffs[0]) == pytest.approx(1e-12, rel=1e-2)
+    assert diffs[1] == "inf"
+    (saved / "rings.csv").unlink()
+    assert digest["main"](["--only", "rings", "--against", str(saved)]) == 0
+    assert capsys.readouterr().out.split("  ")[2].strip() == "missing"
+    # signed zeros are equal; a cell that turns nan or inf has moved without bound
+    assert digest["max_rel_diff"]("# x = 0.0\n1.0,-0.0\n", "# x = -0.0\n1.0,0.0\n") == 0.0
+    assert digest["max_rel_diff"]("1.0,2.0\n", "nan,2.0\n") == math.inf
+    assert digest["max_rel_diff"]("1.0,2.0\n", "1.0,inf\n") == math.inf
